@@ -23,8 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import kstest
 
 from . import coupling, lattice, statmech, waveline
 from .ratfun import Polynomial, PoleEvaluationError, RationalFunction
@@ -448,6 +446,11 @@ def _run_autocorr(params, seed, out_dir):
 
 
 def _run_mb_stats(params, seed, out_dir):
+    # imported here, not at module level: both are slow to import and
+    # no other command uses them
+    from scipy.integrate import quad
+    from scipy.stats import kstest
+
     try:
         mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     except ValueError as exc:

@@ -41,13 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg import cholesky_banded, solve_banded
+from scipy.special import j0
 
 from .ratfun import RationalFunction, is_inner
-
-
-class ReflectionWindowError(RuntimeError):
-    """Requested horizon lets the clamped ends contaminate the center."""
-
+from .waveline import ReflectionWindowError
 
 _CHUNK = 512  # time-block size for the trig + GEMM evaluation path
 
@@ -75,12 +72,12 @@ class ChainConfig:
     def __post_init__(self):
         if int(self.half_width) != self.half_width or self.half_width < 2:
             raise ValueError("half_width must be an integer >= 2")
-        if not self.c > 0:
-            raise ValueError("coupling c must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if not 0 < self.dt <= self.t_max:
-            raise ValueError("need 0 < dt <= t_max")
+        if not 0 < self.c < np.inf:
+            raise ValueError("coupling c must be positive and finite")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be nonnegative and finite")
+        if not 0 < self.dt <= self.t_max < np.inf:
+            raise ValueError("need 0 < dt <= t_max < inf")
         if self.guarded and self.t_max >= self.half_width / self.c:
             raise ReflectionWindowError(
                 f"t_max = {self.t_max} reaches the clamped ends; the "
@@ -148,13 +145,8 @@ class ParticleTrace:
             fh.write(",".join("%.17g" % x for x in row) + "\n")
 
 
-def build_potential(cfg: ChainConfig):
-    """Spring matrix V^2 of the clamped chain: tridiag(-c^2, 2c^2, -c^2)."""
-    return dirichlet_potential(cfg.n_sites, cfg.c)
-
-
 def dirichlet_potential(n_sites, c):
-    """The same matrix for an arbitrary site count (n_sites >= 1)."""
+    """Spring matrix V^2 of a clamped chain: tridiag(-c^2, 2c^2, -c^2)."""
     V2 = np.zeros((n_sites, n_sites))
     np.fill_diagonal(V2, 2.0 * c * c)
     off = -c * c
@@ -207,22 +199,9 @@ class FactorStencil:
         return np.array([-self.c**2, 2.0 * self.c**2, -self.c**2])
 
 
-def factor_symbol(c):
-    return FactorStencil(c)
-
-
 # ---------------------------------------------------------------------
 # Gibbs sampling
 # ---------------------------------------------------------------------
-
-
-def _banded_upper(cfg):
-    """V^2 in scipy upper-banded storage (2 x n)."""
-    n = cfg.n_sites
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -cfg.c**2
-    ab[1, :] = 2.0 * cfg.c**2
-    return ab
 
 
 def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
@@ -239,7 +218,10 @@ def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
         return ChainState(np.zeros(n), np.zeros(n))
     root_beta = np.sqrt(cfg.beta)
     p = root_beta * rng.standard_normal(n)
-    R = cholesky_banded(_banded_upper(cfg))        # upper: V^2 = R^T R
+    V2 = np.zeros((2, n))                          # V^2, upper-banded storage
+    V2[0, 1:] = -cfg.c**2
+    V2[1, :] = 2.0 * cfg.c**2
+    R = cholesky_banded(V2)                        # upper: V^2 = R^T R
     g = root_beta * rng.standard_normal(n)
     q = solve_banded((0, 1), R, g)
     return ChainState(q, p)
@@ -426,58 +408,44 @@ class AutocorrReport:
                      % (self.lags[m], self.empirical[m], self.oracle[m]))
 
 
-def autocov_oracle(c, beta, lags, n_nodes=None):
+def autocov_oracle(c, beta, lags):
     """beta * (1/pi) * integral_0^pi cos(2 c t sin(theta/2)) d theta.
 
-    Gauss-Legendre quadrature with the node count scaled to the fastest
-    phase so the rule stays accurate over the whole lag range.
+    The symbol integral is the classical closed form beta * J0(2 c t) of
+    the infinite harmonic chain (Rubin 1963; Ford, Kac & Mazur 1965).
     """
-    lags = np.asarray(lags, dtype=float)
-    if n_nodes is None:
-        peak_phase = 2.0 * c * (np.max(np.abs(lags)) if lags.size else 0.0)
-        n_nodes = max(64, int(2 * peak_phase) + 64)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    w_scaled = weights * (0.5 * np.pi) / np.pi
-    phase = np.outer(2.0 * c * lags, np.sin(0.5 * theta))
-    return beta * (np.cos(phase) @ w_scaled)
+    return beta * j0(2.0 * c * np.asarray(lags, dtype=float))
 
 
 def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     """Ensemble- and time-averaged E[p0(t) p0(0)] with its exact oracle.
 
-    Each run draws an independent Gibbs sample (rng seeded by
-    [cfg.seed, run]) and contributes a biased-normalized time-averaged
-    autocovariance; runs are averaged in order. Lags are reported up to
-    half the run length, capped at the reflection-free window M/(2c).
+    Run r is sample_invariant(cfg, default_rng([cfg.seed, r])) and
+    contributes a biased-normalized time-averaged autocovariance; runs
+    are averaged in order. The p0 and q0 series of every run come from
+    one trig pass. Lags are reported up to half the run length, capped
+    at the reflection-free window M/(2c).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     n, ctr = cfg.n_sites, cfg.center
     omega = cfg.mode_frequencies()
     phi0 = _site_rows(n, (ctr,))[0]
-    R = cholesky_banded(_banded_upper(cfg))
-    root_beta = np.sqrt(cfg.beta)
 
-    # one weight column per run for p0, one for q0
-    Wc_p = np.empty((n, n_runs))
-    Ws_p = np.empty((n, n_runs))
-    Wc_q = np.empty((n, n_runs))
-    Ws_q = np.empty((n, n_runs))
+    # column r holds run r's p0 weights, column n_runs + r its q0 weights
+    Wc = np.empty((n, 2 * n_runs))
+    Ws = np.empty((n, 2 * n_runs))
     for r in range(n_runs):
-        rng = np.random.default_rng([cfg.seed, r])
-        p = root_beta * rng.standard_normal(n)
-        q = solve_banded((0, 1), R, root_beta * rng.standard_normal(n))
-        qh = dst(q, type=1, norm="ortho")
-        ph = dst(p, type=1, norm="ortho")
-        Wc_p[:, r] = phi0 * ph
-        Ws_p[:, r] = -phi0 * qh * omega
-        Wc_q[:, r] = phi0 * qh
-        Ws_q[:, r] = phi0 * ph / omega
+        state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
+        qh, ph = _spectral_coeffs(state)
+        Wc[:, r] = phi0 * ph
+        Ws[:, r] = -phi0 * qh * omega
+        Wc[:, n_runs + r] = phi0 * qh
+        Ws[:, n_runs + r] = phi0 * ph / omega
 
     t = cfg.t_grid
-    p0_runs = _ensemble_series(t, omega, Wc_p, Ws_p)      # (T, R)
-    q0_runs = _ensemble_series(t, omega, Wc_q, Ws_q)
+    series = _ensemble_series(t, omega, Wc, Ws)           # (T, 2R)
+    p0_runs, q0_runs = series[:, :n_runs], series[:, n_runs:]
 
     T = t.size
     max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))

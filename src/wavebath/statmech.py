@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,8 @@ def negentropy_mb(params: MBParams):
     Integrates the speed marginal against the log of the velocity
     density; decreases strictly as kT grows (heating destroys order).
     """
+    from scipy.integrate import quad   # slow to import; only needed here
+
     val, err = quad(
         lambda v: mb_speed_pdf(params, v) * _log_velocity_density(params, v),
         0.0,

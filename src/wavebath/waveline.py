@@ -41,7 +41,12 @@ from .realization import LosslessRealization
 
 
 class ReflectionWindowError(RuntimeError):
-    """A far-end reflection re-entered the domain in reflection-free mode."""
+    """A truncation end would reach the observed site inside the run.
+
+    Raised by both truncation guards: a far-end reflection re-entering
+    a reflection-free line, and a chain horizon t_max >= M/c that lets
+    the clamped ends contaminate the center site.
+    """
 
 
 class ContaminatedWindowError(ValueError):
@@ -345,12 +350,12 @@ def reduced_backward(pair: CoupledModelPair, obs: Observable, w_bar, xiT,
 
     The forward step rewritten against the anticausal feedback matrix
     reads xi+ = xi + dt Gb xi_mid + 2 dt b0 wbar_cell, so knowing the
-    final state and the emitted cells determines every earlier state by
-    an exact linear solve; integrating Gb in reverse time is the stable
-    direction. w_bar must hold cell (midpoint) samples, i.e. the trace
-    column as recorded; entry [steps] is never read. The string
-    convention flips the drive sign. Returns (xi, y) with
-    y = hbar xi + 2 d w_bar.
+    final state and the emitted cells determines every earlier state:
+    solved for xi, it is the Cayley step of Gb with step -dt, and
+    integrating Gb in reverse time is the stable direction. w_bar must
+    hold cell (midpoint) samples, i.e. the trace column as recorded;
+    entry [steps] is never read. The string convention flips the drive
+    sign. Returns (xi, y) with y = hbar xi + 2 d w_bar.
     """
     if convention not in ("line", "string"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -359,16 +364,11 @@ def reduced_backward(pair: CoupledModelPair, obs: Observable, w_bar, xiT,
         raise ValueError("w_bar must be a nonempty 1-d series")
     steps = w_bar.size - 1
     sign = 1.0 if convention == "line" else -1.0
-    n = pair.dim
-    Gb = pair.gamma_bar
-    M_plus = np.eye(n) + 0.5 * dt * Gb
-    M_minus = np.eye(n) - 0.5 * dt * Gb
-    drive = dt * pair.input_gain      # input_gain is already 2 b0
-    xis = np.empty((steps + 1, n))
+    S, g = _cayley(pair.gamma_bar, pair.input_gain, -dt)
+    xis = np.empty((steps + 1, pair.dim))
     xis[steps] = np.asarray(xiT, dtype=float)
     for m in range(steps - 1, -1, -1):
-        rhs = M_minus @ xis[m + 1] - sign * drive * w_bar[m]
-        xis[m] = np.linalg.solve(M_plus, rhs)
+        xis[m] = S @ xis[m + 1] + sign * g * w_bar[m]
     ys = xis @ obs.h_bar + 2.0 * obs.d * w_bar
     return xis, ys
 

@@ -230,7 +230,7 @@ def test_07_invariant_measure_statistics():
 
     # whitening: 4000 fresh Gibbs draws through the difference stencil
     rng = np.random.default_rng(SEED + 7)
-    stencil = lattice.factor_symbol(c)
+    stencil = lattice.FactorStencil(c)
     n_samp = 4000
     draws = np.empty((n_samp, cfg.n_sites))
     for i in range(n_samp):

@@ -1,11 +1,26 @@
-"""End-to-end runs of the command line driver, in process."""
+"""End-to-end runs of the command line, in process, and in a fresh
+interpreter where stderr or the import set is under test."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavebath
 from wavebath.cli import main
+
+
+def python(args):
+    """Run a fresh interpreter that imports this checkout's wavebath."""
+    src = str(Path(wavebath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def run(tmp_path, *argv):
@@ -240,6 +255,27 @@ class TestUsageErrors:
     def test_bad_foster_text(self, tmp_path, capsys):
         code, _, _ = run(tmp_path, "couple", "--foster", "q9=1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice-sim", "--M", "40", "--t-max", "10", "--beta", "nan"],
+        ["autocorr", "--M", "40", "--t-max", "10", "--beta", "inf",
+         "--runs", "4"],
+    ])
+    def test_non_finite_beta_exits_two_without_traceback(self, tmp_path,
+                                                         argv):
+        proc = python(["-m", "wavebath.cli", *argv, "--out",
+                       str(tmp_path / "run")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().count("\n") == 0
+        assert "beta" in proc.stderr
+
+    def test_import_skips_slow_scipy_modules(self):
+        proc = python(["-c", "import sys, wavebath.cli; print(sorted("
+                       "m for m in ('scipy.integrate', 'scipy.stats') "
+                       "if m in sys.modules))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_bad_init_choice(self, tmp_path):
         code, _, _ = run(tmp_path, "line-sim", "--foster", "k0=1",

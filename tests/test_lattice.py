@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
+from wavebath import waveline
 from wavebath.lattice import (
     AutocorrReport,
     ChainConfig,
@@ -16,11 +17,9 @@ from wavebath.lattice import (
     ReflectionWindowError,
     SiteModelPair,
     autocov_oracle,
-    build_potential,
     chain_energy,
     dirichlet_potential,
     evolve_state,
-    factor_symbol,
     integrate,
     isolated_site_series,
     langevin_residual,
@@ -61,11 +60,18 @@ class TestChainConfig:
             dict(beta=-0.1),
             dict(dt=0.0),
             dict(dt=5.0),            # dt > t_max
+            dict(beta=float("nan")),
+            dict(beta=float("inf")),
+            dict(c=float("inf")),
+            dict(t_max=float("inf"), guarded=False),
         ],
     )
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises((ValueError, ReflectionWindowError)):
             small_cfg(**kw)
+
+    def test_one_reflection_window_error(self):
+        assert ReflectionWindowError is waveline.ReflectionWindowError
 
     def test_guard_limits_horizon(self):
         with pytest.raises(ReflectionWindowError):
@@ -82,31 +88,32 @@ class TestPotential:
 
     def test_diagonal_value(self):
         cfg = small_cfg(half_width=2, c=2.0, t_max=0.9)
-        V2 = build_potential(cfg)
+        V2 = dirichlet_potential(cfg.n_sites, cfg.c)
         assert np.all(np.diag(V2) == 8.0)
         assert V2.shape == (5, 5)
 
     def test_spectrum_inside_band(self):
         cfg = small_cfg()
-        evals = np.linalg.eigvalsh(build_potential(cfg))
+        evals = np.linalg.eigvalsh(dirichlet_potential(cfg.n_sites, cfg.c))
         assert np.all(evals > 0)
         assert np.all(evals < 4 * cfg.c**2)
 
     def test_matches_analytic_frequencies(self):
         cfg = small_cfg()
-        evals = np.sort(np.linalg.eigvalsh(build_potential(cfg)))
+        V2 = dirichlet_potential(cfg.n_sites, cfg.c)
+        evals = np.sort(np.linalg.eigvalsh(V2))
         assert np.allclose(np.sqrt(evals), np.sort(cfg.mode_frequencies()),
                            rtol=0, atol=1e-12)
 
 
 class TestFactorStencil:
     def test_apply_is_forward_difference(self):
-        s = factor_symbol(2.0)
+        s = FactorStencil(2.0)
         q = np.array([1.0, 4.0, 9.0])
         assert np.array_equal(s.apply(q), np.array([6.0, 10.0, -18.0]))
 
     def test_adjoint_is_transpose(self):
-        s = factor_symbol(1.7)
+        s = FactorStencil(1.7)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(8)
         R = s.matrix(8)
@@ -114,12 +121,12 @@ class TestFactorStencil:
 
     def test_symbol_convolution(self):
         # c(z - 1) times c(z^{-1} - 1) = -c^2 z^{-1} + 2c^2 - c^2 z
-        s = factor_symbol(1.0)
+        s = FactorStencil(1.0)
         prod = np.convolve([-1.0, 1.0], [1.0, -1.0])
         assert np.array_equal(prod, s.symbol_coeffs())
 
     def test_product_reproduces_interior_rows_exactly(self):
-        s = factor_symbol(1.0)
+        s = FactorStencil(1.0)
         R = s.matrix(7)
         P = R.T @ R
         V2 = dirichlet_potential(7, 1.0)
@@ -128,7 +135,7 @@ class TestFactorStencil:
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
-            factor_symbol(0.0)
+            FactorStencil(0.0)
 
 
 class TestGibbsSampling:
@@ -155,7 +162,7 @@ class TestGibbsSampling:
         # x = V* q should have covariance ~ beta I; the known finite-size
         # correction is a rank-one -beta/(n+1) term, well under the band
         cfg = small_cfg(half_width=30, beta=1.4, t_max=4.0)
-        stencil = factor_symbol(cfg.c)
+        stencil = FactorStencil(cfg.c)
         rng = np.random.default_rng(77)
         draws = np.array([stencil.apply(sample_invariant(cfg, rng).q)
                           for _ in range(4000)])
@@ -173,7 +180,7 @@ class TestGibbsSampling:
         rng = np.random.default_rng(123)
         draws = np.array([sample_invariant(cfg, rng).q for _ in range(20000)])
         emp = draws.T @ draws / draws.shape[0]
-        target = np.linalg.inv(build_potential(cfg))
+        target = np.linalg.inv(dirichlet_potential(cfg.n_sites, cfg.c))
         assert np.max(np.abs(emp - target)) < 0.05 * np.max(target)
 
 
@@ -295,14 +302,37 @@ class TestReducedPair:
                           RationalFunction([-1.0, 1.0], [1.0, 1.0]))
 
 
+def legendre_oracle(c, beta, lags):
+    """beta * (1/pi) * integral_0^pi cos(2 c t sin(theta/2)) d theta.
+
+    Composite Gauss-Legendre quadrature, independent of the Bessel
+    closed form: at c t = 1000 each of the 256 panels spans about two
+    periods of the integrand, which a 32-node rule integrates to
+    roundoff.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, np.pi, 257)
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    w = (half * weights).ravel() / np.pi
+    s = np.sin(0.5 * theta)
+    lags = np.asarray(lags, dtype=float)
+    out = np.empty(lags.size)
+    for lo in range(0, lags.size, 256):     # keeps the phase table small
+        phase = np.outer(2.0 * c * lags[lo:lo + 256], s)
+        out[lo:lo + 256] = np.cos(phase) @ w
+    return beta * out
+
+
 class TestAutocovOracle:
     def test_lag_zero_is_beta(self):
         assert autocov_oracle(1.0, 1.7, [0.0])[0] == pytest.approx(1.7, abs=1e-13)
 
     def test_agrees_with_bessel_closed_form(self):
-        lags = np.linspace(0.0, 30.0, 200)
-        got = autocov_oracle(0.8, 2.1, lags)
-        assert np.max(np.abs(got - 2.1 * j0(1.6 * lags))) < 1e-10
+        # the acceptance-07 lag range: c = 1, lags 0..1000 at dt = 0.25
+        lags = 0.25 * np.arange(4001)
+        got = autocov_oracle(1.0, 2.1, lags)
+        assert np.max(np.abs(got - legendre_oracle(1.0, 2.1, lags))) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +366,18 @@ class TestMomentumAutocorr:
         r1 = momentum_autocorr(cfg, 5)
         r2 = momentum_autocorr(cfg, 5)
         assert np.array_equal(r1.empirical, r2.empirical)
+
+    def test_runs_come_from_the_gibbs_sampler(self):
+        cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
+                          t_max=15.0, seed=3)
+        rep = momentum_autocorr(cfg, 1)
+        state = sample_invariant(cfg, np.random.default_rng([cfg.seed, 0]))
+        p0 = integrate(state, cfg).p0
+        x = p0 - p0.mean()
+        T = x.size
+        direct = np.array([x[: T - k] @ x[k:] / T
+                           for k in range(rep.lags.size)])
+        assert np.max(np.abs(rep.empirical - direct)) < 1e-12
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
