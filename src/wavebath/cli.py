@@ -417,6 +417,9 @@ def _run_autocorr(params, seed, out_dir):
         )
     except (ValueError, lattice.ReflectionWindowError) as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.beta == 0.0:
+        raise ConfigError("autocorr needs beta > 0: its checks are "
+                          "relative to beta")
     report = lattice.momentum_autocorr(cfg, params["runs"])
     beta = params["beta"]
     lag0_err = abs(report.empirical[0] - beta) / beta
@@ -446,10 +449,9 @@ def _run_autocorr(params, seed, out_dir):
 
 
 def _run_mb_stats(params, seed, out_dir):
-    # imported here, not at module level: both are slow to import and
-    # no other command uses them
+    # imported here, not at module level: it is slow to import and no
+    # other command uses it
     from scipy.integrate import quad
-    from scipy.stats import kstest
 
     try:
         mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
@@ -460,7 +462,7 @@ def _run_mb_stats(params, seed, out_dir):
         raise ConfigError("n must be at least 10")
     v = statmech.sample_mb(mb, n, seed)
     ke = float(np.mean(0.5 * mb.m * v * v))
-    ks = kstest(v**2 / mb.sigma**2, "chi2", args=(3,)).statistic
+    ks = statmech.ks_chi2_three(v**2 / mb.sigma**2)
 
     # closed form vs independent quadrature for the divergence
     T0, T1 = mb.kT, 2.0 * mb.kT

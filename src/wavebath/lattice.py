@@ -29,6 +29,19 @@ as algebraic consequences of the equations of motion, not as
 approximations; langevin_residual measures how well a sampled trace
 honours them, which is pure differencing error O(dt^2).
 
+The hot paths use the closed forms of this basis rather than
+re-deriving them numerically:
+
+  * Gibbs draws solve against the closed-form Cholesky factor of the
+    second-difference matrix (one banded triangular solve per draw);
+  * center-site series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)]
+    on the uniform time grid reuse one block of trig tables: each
+    later block of time samples rotates the weights by its start
+    phase (angle addition) instead of evaluating fresh trig;
+  * the center row of the sine basis, proportional to sin(pi k / 2),
+    vanishes on every even mode, so p0 and q0 alone need only the odd
+    half of the spectrum (the neighbours q_{-1}, q_{+1} need all of it).
+
 Ensemble runs are pure functions of (config, run index): run r draws
 from default_rng([seed, r]) and results are reduced in run order, so
 reports are reproducible bit for bit.
@@ -40,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import cholesky_banded, solve_banded
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import j0
 
 from .ratfun import RationalFunction, is_inner
@@ -204,12 +217,30 @@ class FactorStencil:
 # ---------------------------------------------------------------------
 
 
+def _gibbs_factor(n_sites, c):
+    """Upper Cholesky factor R of V^2 = c^2 tridiag(-1, 2, -1), banded.
+
+    Closed form of the LDL^T factorization of the second-difference
+    matrix (pivots (k+2)/(k+1), 0-based): R[k, k] = c sqrt((k+2)/(k+1))
+    and R[k, k+1] = -c sqrt((k+1)/(k+2)). Row 0 holds the superdiagonal
+    (its first entry unused), row 1 the diagonal, as LAPACK's upper
+    band storage expects, in Fortran order so that LAPACK takes it
+    without a copy.
+    """
+    j = np.arange(1.0, n_sites + 1)                # j = k + 1
+    R = np.zeros((2, n_sites), order="F")
+    R[0, 1:] = -c * np.sqrt(j[:-1] / j[1:])
+    R[1] = c * np.sqrt((j + 1.0) / j)
+    return R
+
+
 def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
     """One draw from the Gibbs measure of the truncated chain.
 
     Momenta are i.i.d. N(0, beta); configurations have covariance
     beta (V^2)^{-1}, realized by solving R q = sqrt(beta) g against the
-    banded Cholesky factor R of V^2. beta = 0 gives the zero state.
+    closed-form upper Cholesky factor R of V^2 (V^2 = R^T R). beta = 0
+    gives the zero state.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -218,12 +249,11 @@ def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
         return ChainState(np.zeros(n), np.zeros(n))
     root_beta = np.sqrt(cfg.beta)
     p = root_beta * rng.standard_normal(n)
-    V2 = np.zeros((2, n))                          # V^2, upper-banded storage
-    V2[0, 1:] = -cfg.c**2
-    V2[1, :] = 2.0 * cfg.c**2
-    R = cholesky_banded(V2)                        # upper: V^2 = R^T R
     g = root_beta * rng.standard_normal(n)
-    q = solve_banded((0, 1), R, g)
+    q, info = dtbtrs(_gibbs_factor(n, cfg.c), g)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded triangular solve failed "
+                                    f"(LAPACK info = {info})")
     return ChainState(q, p)
 
 
@@ -247,20 +277,35 @@ def _spectral_coeffs(state):
     return qh, ph
 
 
-def _ensemble_series(t_grid, omega, weight_cos, weight_sin):
+def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
     """Evaluate sum_k [Wc cos(omega_k t) + Ws sin(omega_k t)] columns.
 
-    weight_* have one column per requested series; time is processed in
-    blocks so the (block x n_modes) trig tables stay small while the
-    accumulation runs as matrix products.
+    t runs over the uniform grid m dt, m = 0..n_samples-1; weight_* have
+    one column per requested series. Time is processed in blocks of
+    _CHUNK samples whose accumulation runs as matrix products. The trig
+    tables cos(omega tau), sin(omega tau) are built once, for the
+    offsets tau of one block; the block starting at t0 instead rotates
+    the weights by its start phase (angle addition),
+
+        Wc' = Wc cos(omega t0) + Ws sin(omega t0)
+        Ws' = Ws cos(omega t0) - Wc sin(omega t0),
+
+    so its series are cos(omega tau) Wc' + sin(omega tau) Ws'. Trig
+    work is _CHUNK n + (n_samples / _CHUNK) n evaluations instead of
+    n_samples n.
     """
-    T = t_grid.size
-    out = np.empty((T, weight_cos.shape[1]))
-    for lo in range(0, T, _CHUNK):
-        hi = min(lo + _CHUNK, T)
-        phase = np.outer(t_grid[lo:hi], omega)
-        np.matmul(np.cos(phase), weight_cos, out=out[lo:hi])
-        out[lo:hi] += np.sin(phase) @ weight_sin
+    block = min(_CHUNK, n_samples)
+    phase = np.outer(np.arange(block) * dt, omega)
+    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    out = np.empty((n_samples, weight_cos.shape[1]))
+    for lo in range(0, n_samples, block):
+        hi = min(lo + block, n_samples)
+        start = omega * (lo * dt)
+        c0, s0 = np.cos(start)[:, None], np.sin(start)[:, None]
+        wc = c0 * weight_cos + s0 * weight_sin
+        ws = c0 * weight_sin - s0 * weight_cos
+        np.matmul(cos_tab[: hi - lo], wc, out=out[lo:hi])
+        out[lo:hi] += sin_tab[: hi - lo] @ ws
     return out
 
 
@@ -300,7 +345,7 @@ def integrate(state: ChainState, cfg: ChainConfig) -> ParticleTrace:
     Wc[:, 3] = phi[1] * ph
     Ws[:, 3] = -phi[1] * qh * omega
 
-    series = _ensemble_series(cfg.t_grid, omega, Wc, Ws)
+    series = _ensemble_series(cfg.dt, cfg.n_steps + 1, omega, Wc, Ws)
     qm, q0, qp, p0 = series.T
     bond_sum = cfg.c * (qp - q0) + cfg.c * (qm - q0)
     w = 0.25 * (bond_sum + 2.0 * p0)
@@ -423,28 +468,33 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     Run r is sample_invariant(cfg, default_rng([cfg.seed, r])) and
     contributes a biased-normalized time-averaged autocovariance; runs
     are averaged in order. The p0 and q0 series of every run come from
-    one trig pass. Lags are reported up to half the run length, capped
+    one trig pass over the odd modes only, the even ones having a node
+    at the center. Lags are reported up to half the run length, capped
     at the reflection-free window M/(2c).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     n, ctr = cfg.n_sites, cfg.center
-    omega = cfg.mode_frequencies()
-    phi0 = _site_rows(n, (ctr,))[0]
+    # the center row phi0(k) is proportional to sin(pi k / 2): every even
+    # mode has a node there, so p0 and q0 are sums over the odd modes
+    odd = slice(0, None, 2)                        # k = 1, 3, 5, ...
+    omega = cfg.mode_frequencies()[odd]
+    phi0 = _site_rows(n, (ctr,))[0][odd]
 
     # column r holds run r's p0 weights, column n_runs + r its q0 weights
-    Wc = np.empty((n, 2 * n_runs))
-    Ws = np.empty((n, 2 * n_runs))
+    Wc = np.empty((omega.size, 2 * n_runs))
+    Ws = np.empty((omega.size, 2 * n_runs))
     for r in range(n_runs):
         state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
         qh, ph = _spectral_coeffs(state)
+        qh, ph = qh[odd], ph[odd]
         Wc[:, r] = phi0 * ph
         Ws[:, r] = -phi0 * qh * omega
         Wc[:, n_runs + r] = phi0 * qh
         Ws[:, n_runs + r] = phi0 * ph / omega
 
     t = cfg.t_grid
-    series = _ensemble_series(t, omega, Wc, Ws)           # (T, 2R)
+    series = _ensemble_series(cfg.dt, t.size, omega, Wc, Ws)   # (T, 2R)
     p0_runs, q0_runs = series[:, :n_runs], series[:, n_runs:]
 
     T = t.size

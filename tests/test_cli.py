@@ -270,6 +270,28 @@ class TestUsageErrors:
         assert proc.stderr.strip().count("\n") == 0
         assert "beta" in proc.stderr
 
+    @pytest.mark.parametrize("argv, name", [
+        (["autocorr", "--M", "40", "--t-max", "10", "--beta", "0",
+          "--runs", "4"], "beta"),
+        (["mb-stats", "--kT", "inf", "--n", "100"], "kT"),
+    ])
+    def test_zero_or_infinite_scale_exits_two_without_traceback(
+            self, tmp_path, argv, name):
+        proc = python(["-m", "wavebath.cli", *argv, "--out",
+                       str(tmp_path / "run")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().count("\n") == 0
+        assert name in proc.stderr
+
+    def test_mb_stats_skips_scipy_stats(self, tmp_path):
+        proc = python(["-c", "import sys; from wavebath.cli import main; "
+                       "code = main(['mb-stats', '--n', '1000', '--out', "
+                       f"{str(tmp_path / 'run')!r}]); "
+                       "print(code, 'scipy.stats' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+
     def test_import_skips_slow_scipy_modules(self):
         proc = python(["-c", "import sys, wavebath.cli; print(sorted("
                        "m for m in ('scipy.integrate', 'scipy.stats') "

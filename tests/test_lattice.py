@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dst
+from scipy.linalg import cholesky_banded, solve_banded
 from scipy.special import j0
 
 from wavebath import waveline
@@ -27,7 +29,16 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
+from wavebath.lattice import _ensemble_series, _gibbs_factor
 from wavebath.ratfun import RationalFunction
+
+
+def banded_potential(n, c):
+    """V^2 in upper band storage: superdiagonal row, then diagonal."""
+    V2 = np.zeros((2, n))
+    V2[0, 1:] = -c * c
+    V2[1] = 2.0 * c * c
+    return V2
 
 
 def small_cfg(**kw):
@@ -182,6 +193,27 @@ class TestGibbsSampling:
         emp = draws.T @ draws / draws.shape[0]
         target = np.linalg.inv(dirichlet_potential(cfg.n_sites, cfg.c))
         assert np.max(np.abs(emp - target)) < 0.05 * np.max(target)
+
+    @pytest.mark.parametrize("n", [5, 401, 4001])
+    @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
+    def test_closed_form_factor_matches_banded_cholesky(self, n, c):
+        oracle = cholesky_banded(banded_potential(n, c))
+        np.testing.assert_allclose(_gibbs_factor(n, c), oracle,
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("half_width", [2, 200, 2000])
+    def test_draw_matches_numerical_factorization(self, half_width):
+        # the LAPACK route: banded Cholesky, then a general banded solve
+        cfg = small_cfg(half_width=half_width, t_max=1.0)
+        n = cfg.n_sites
+        got = sample_invariant(cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        p = np.sqrt(cfg.beta) * rng.standard_normal(n)
+        g = np.sqrt(cfg.beta) * rng.standard_normal(n)
+        q = solve_banded((0, 1), cholesky_banded(banded_potential(n, cfg.c)),
+                         g)
+        assert np.array_equal(got.p, p)
+        assert np.max(np.abs(got.q - q)) <= 1e-11 * np.max(np.abs(q))
 
 
 class TestExactFlow:
@@ -379,6 +411,34 @@ class TestMomentumAutocorr:
                            for k in range(rep.lags.size)])
         assert np.max(np.abs(rep.empirical - direct)) < 1e-12
 
+    def test_odd_modes_match_all_mode_evaluation(self):
+        # p0 and q0 summed over every mode by direct trig; the even modes
+        # have a node at the center and contribute only roundoff
+        cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
+                          t_max=15.0, seed=3)
+        n_runs = 4
+        rep = momentum_autocorr(cfg, n_runs)
+        n, omega = cfg.n_sites, cfg.mode_frequencies()
+        phi0 = np.sqrt(2.0 / (n + 1)) * np.sin(
+            np.pi * (cfg.center + 1) * np.arange(1, n + 1) / (n + 1))
+        phase = np.outer(cfg.t_grid, omega)
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        p0, q0 = [], []
+        for r in range(n_runs):
+            state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
+            qh = dst(state.q, type=1, norm="ortho")
+            ph = dst(state.p, type=1, norm="ortho")
+            p0.append(cos_t @ (phi0 * ph) - sin_t @ (phi0 * qh * omega))
+            q0.append(cos_t @ (phi0 * qh) + sin_t @ (phi0 * ph / omega))
+        p0, q0 = np.array(p0).T, np.array(q0).T
+        L, T = rep.lags.size, cfg.t_grid.size
+        x = p0 - p0.mean(axis=0)
+        empirical = np.array([np.mean(np.sum(x[: T - k] * x[k:], axis=0))
+                              / T for k in range(L)])
+        drift = np.var(q0[:L] - q0[0], axis=1)
+        assert np.max(np.abs(rep.empirical - empirical)) <= 1e-12
+        assert np.max(np.abs(rep.q_drift - drift)) <= 1e-12 * np.max(drift)
+
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             momentum_autocorr(small_cfg(), 0)
@@ -395,6 +455,21 @@ class TestMomentumAutocorr:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[2]) == rep.oracle[0]
+
+
+class TestEnsembleSeries:
+    @pytest.mark.parametrize("t_max", [9.0, 1900.0])
+    def test_block_rotation_matches_direct_trig(self, t_max):
+        # 37 samples fit in one block; 7601 take 15 blocks, the last partial
+        n, dt = 401, 0.25
+        omega = 2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1)))
+        Wc, Ws = np.random.default_rng(4).standard_normal((2, n, 3))
+        n_samples = int(t_max / dt) + 1
+        got = _ensemble_series(dt, n_samples, omega, Wc, Ws)
+        phase = np.outer(np.arange(n_samples) * dt, omega)
+        direct = np.cos(phase) @ Wc + np.sin(phase) @ Ws
+        weight_norm = np.abs(Wc).sum(axis=0) + np.abs(Ws).sum(axis=0)
+        assert np.max(np.abs(got - direct) / weight_norm) <= 1e-11
 
 
 class TestParticleTraceCsv:

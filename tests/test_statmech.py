@@ -13,6 +13,7 @@ from wavebath.statmech import (
     MBParams,
     autocovariance,
     kl_mb,
+    ks_chi2_three,
     mb_speed_pdf,
     negentropy_mb,
     periodicity_probe,
@@ -55,7 +56,9 @@ class TestSpeedPdf:
 
     def test_parameter_validation(self):
         for bad in (dict(m=0.0, kT=1.0), dict(m=1.0, kT=-2.0),
-                    dict(m=1.0, kT=1.0, k=0.0)):
+                    dict(m=1.0, kT=1.0, k=0.0), dict(m=np.inf, kT=1.0),
+                    dict(m=1.0, kT=np.inf), dict(m=1.0, kT=1.0, k=np.inf),
+                    dict(m=1.0, kT=np.nan)):
             with pytest.raises(ValueError):
                 MBParams(**bad)
 
@@ -77,6 +80,15 @@ class TestSampler:
         v = sample_mb(p, 100_000, seed=42)
         stat = kstest(v**2 / p.sigma**2, "chi2", args=(3,)).statistic
         assert stat < 1.628 / math.sqrt(100_000)   # 1% critical value
+
+    @pytest.mark.parametrize("n, seed, kT", [(10, 1, 1.0), (977, 2, 0.4),
+                                             (20_000, 3, 1.3),
+                                             (100_000, 42, 1.7)])
+    def test_ks_statistic_matches_scipy_stats(self, n, seed, kT):
+        p = MBParams(m=1.0, kT=kT)
+        x = sample_mb(p, n, seed=seed) ** 2 / p.sigma**2
+        expected = kstest(x, "chi2", args=(3,)).statistic
+        assert abs(ks_chi2_three(x) - expected) <= 1e-15
 
     def test_temperature_scaling_is_exact_for_shared_seed(self):
         # same seed means same underlying normals, so quadrupling kT
