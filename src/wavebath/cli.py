@@ -10,7 +10,8 @@ Config resolution order: built-in default, then the [command] section
 of --config, then explicit flags. Unknown keys in the config file are
 an error — a typo must abort before any computation, not silently run
 a default. Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or config error.
+2 usage or config error (an unparsable config file, or a load the
+coupling cannot carry, included), always one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import configparser
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +129,7 @@ _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _coerce(command, key, raw):
-    typ = _PARAMS[command][key][0]
+    typ = int if key == "seed" else _PARAMS[command][key][0]
     try:
         if typ is bool:
             return _BOOL_STRINGS[raw.strip().lower()]
@@ -139,21 +141,22 @@ def _coerce(command, key, raw):
 def _load_config_section(command, path):
     ini = configparser.ConfigParser()
     ini.optionxform = str    # parameter names are case sensitive (M, kT)
-    read = ini.read(path)
+    try:
+        read = ini.read(path)
+        items = ini.items(command) if ini.has_section(command) else []
+    except configparser.Error as exc:
+        # configparser's messages span lines; stderr gets one
+        raise ConfigError(f"cannot parse {path}: "
+                          + " ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    if ini.has_section(command):
-        table = _PARAMS[command]
-        for key, raw in ini.items(command):
-            if key == "seed":
-                values["seed"] = int(raw)
-                continue
-            if key not in table:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{command}] of {path}"
-                )
-            values[key] = _coerce(command, key, raw)
+    for key, raw in items:
+        if key != "seed" and key not in _PARAMS[command]:
+            raise ConfigError(
+                f"unknown key {key!r} in section [{command}] of {path}"
+            )
+        values[key] = _coerce(command, key, raw)
     extra = [s for s in ini.sections() if s != command]
     if extra:
         raise ConfigError(f"unexpected sections {extra} in {path}")
@@ -244,6 +247,17 @@ def _load_from(params):
     return foster_realize(spec), spec
 
 
+@contextmanager
+def _load_rejected_as_config_error():
+    """A well-formed load that the coefficient route cannot carry (too
+    many tanks for DEGREE_CAP, near-coincident tank frequencies) is bad
+    input, not a failed check: exit 2 with one line, not a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"load rejected: {exc}") from None
+
+
 # ---------------------------------------------------------------------
 # command bodies: each returns (checks, result payload, artifacts)
 # ---------------------------------------------------------------------
@@ -251,9 +265,10 @@ def _load_from(params):
 
 def _run_synth(params, seed, out_dir):
     load, spec = _load_from(params)
-    report = verify_lossless_certificate(load)
-    Z = transfer_function(load.ss)
-    back = foster_from_rational(Z)
+    with _load_rejected_as_config_error():
+        report = verify_lossless_certificate(load)
+        Z = transfer_function(load.ss)
+        back = foster_from_rational(Z)
     dev = abs(back.k0 - spec.k0)
     for (k1, w1), (k2, w2) in zip(back.tanks, spec.tanks):
         dev = max(dev, abs(k1 - k2), abs(w1 - w2))
@@ -275,8 +290,9 @@ def _run_synth(params, seed, out_dir):
 
 def _run_couple(params, seed, out_dir):
     load, spec = _load_from(params)
-    pair = coupling.close_loops(load)
-    info = coupling.coupling_report(pair)
+    with _load_rejected_as_config_error():
+        pair = coupling.close_loops(load)
+        info = coupling.coupling_report(pair)
     checks = {
         "mirror_spectrum": _check(info["mirror_residual"], 1e-8),
         "allpass_on_axis": _check(info["allpass_residual"], 1e-8),
@@ -322,8 +338,9 @@ def _run_wave_sim(params, seed, out_dir, convention):
     else:
         raise ConfigError(f"unknown init {params['init']!r}")
 
-    pair = coupling.close_loops(load)
-    obs = coupling.Observable.build(load, load.ss.c, 0.0)
+    with _load_rejected_as_config_error():
+        pair = coupling.close_loops(load)
+        obs = coupling.Observable.build(load, load.ss.c, 0.0)
     try:
         _, trace = waveline.run_line(cfg, field, obs=obs,
                                      convention=convention)

@@ -32,8 +32,10 @@ honours them, which is pure differencing error O(dt^2).
 The hot paths use the closed forms of this basis rather than
 re-deriving them numerically:
 
-  * Gibbs draws solve against the closed-form Cholesky factor of the
-    second-difference matrix (one banded triangular solve per draw);
+  * Gibbs draws back-substitute against the closed-form Cholesky
+    factor of the second-difference matrix, which telescopes to one
+    reversed cumulative sum per draw;
+  * the orthonormal DST-I is one real FFT of the odd extension;
   * center-site series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)]
     on the uniform time grid reuse one block of trig tables: each
     later block of time samples rotates the weights by its start
@@ -45,6 +47,10 @@ re-deriving them numerically:
 Ensemble runs are pure functions of (config, run index): run r draws
 from default_rng([seed, r]) and results are reduced in run order, so
 reports are reproducible bit for bit.
+
+Everything here runs on numpy alone except autocov_oracle, which
+imports scipy.special.j0 when it is called, so importing the module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -52,9 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
-from scipy.linalg.lapack import dtbtrs
-from scipy.special import j0
 
 from .ratfun import RationalFunction, is_inner
 from .waveline import ReflectionWindowError
@@ -217,30 +220,20 @@ class FactorStencil:
 # ---------------------------------------------------------------------
 
 
-def _gibbs_factor(n_sites, c):
-    """Upper Cholesky factor R of V^2 = c^2 tridiag(-1, 2, -1), banded.
-
-    Closed form of the LDL^T factorization of the second-difference
-    matrix (pivots (k+2)/(k+1), 0-based): R[k, k] = c sqrt((k+2)/(k+1))
-    and R[k, k+1] = -c sqrt((k+1)/(k+2)). Row 0 holds the superdiagonal
-    (its first entry unused), row 1 the diagonal, as LAPACK's upper
-    band storage expects, in Fortran order so that LAPACK takes it
-    without a copy.
-    """
-    j = np.arange(1.0, n_sites + 1)                # j = k + 1
-    R = np.zeros((2, n_sites), order="F")
-    R[0, 1:] = -c * np.sqrt(j[:-1] / j[1:])
-    R[1] = c * np.sqrt((j + 1.0) / j)
-    return R
-
-
 def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
     """One draw from the Gibbs measure of the truncated chain.
 
     Momenta are i.i.d. N(0, beta); configurations have covariance
     beta (V^2)^{-1}, realized by solving R q = sqrt(beta) g against the
-    closed-form upper Cholesky factor R of V^2 (V^2 = R^T R). beta = 0
-    gives the zero state.
+    upper Cholesky factor R of V^2 = c^2 tridiag(-1, 2, -1) (V^2 = R^T R).
+    R has the closed form R[k, k] = c sqrt((k+2)/(k+1)),
+    R[k, k+1] = -c sqrt((k+1)/(k+2)) (0-based; the pivots of the
+    second-difference matrix), and back-substitution against it
+    telescopes to one reversed cumulative sum,
+
+        q_k = ((k+1)/c) sum_{j>=k} g_j / sqrt((j+1)(j+2)).
+
+    beta = 0 gives the zero state.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -250,11 +243,9 @@ def sample_invariant(cfg: ChainConfig, rng=None) -> ChainState:
     root_beta = np.sqrt(cfg.beta)
     p = root_beta * rng.standard_normal(n)
     g = root_beta * rng.standard_normal(n)
-    q, info = dtbtrs(_gibbs_factor(n, cfg.c), g)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"banded triangular solve failed "
-                                    f"(LAPACK info = {info})")
-    return ChainState(q, p)
+    j = np.arange(1.0, n + 1)                      # j = k + 1
+    tail = np.cumsum((g / np.sqrt(j * (j + 1.0)))[::-1])[::-1]
+    return ChainState(j / cfg.c * tail, p)
 
 
 def chain_energy(state: ChainState, cfg: ChainConfig):
@@ -270,11 +261,24 @@ def chain_energy(state: ChainState, cfg: ChainConfig):
 # ---------------------------------------------------------------------
 
 
+def _dst1(x):
+    """Orthonormal DST-I of a 1-d array (its own inverse).
+
+    The odd extension [0, x, 0, -x reversed] of length 2(n+1) has a
+    purely imaginary DFT whose bins 1..n are -sqrt(2(n+1)) times the
+    sine coefficients, so one real FFT gives the transform; this is how
+    pocketfft, behind both numpy.fft and scipy.fft, computes it.
+    """
+    n = x.size
+    ext = np.zeros(2 * (n + 1))
+    ext[1 : n + 1] = x
+    ext[n + 2 :] = -x[::-1]
+    return -np.fft.rfft(ext, norm="ortho").imag[1 : n + 1]
+
+
 def _spectral_coeffs(state):
     """Orthonormal DST-I coordinates (the involutive sine transform)."""
-    qh = dst(state.q, type=1, norm="ortho")
-    ph = dst(state.p, type=1, norm="ortho")
-    return qh, ph
+    return _dst1(state.q), _dst1(state.p)
 
 
 def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
@@ -318,8 +322,7 @@ def evolve_state(state: ChainState, cfg: ChainConfig, t) -> ChainState:
     cwt, swt = np.cos(omega * t), np.sin(omega * t)
     qh_t = qh * cwt + ph / omega * swt
     ph_t = ph * cwt - qh * omega * swt
-    return ChainState(dst(qh_t, type=1, norm="ortho"),
-                      dst(ph_t, type=1, norm="ortho"))
+    return ChainState(_dst1(qh_t), _dst1(ph_t))
 
 
 def integrate(state: ChainState, cfg: ChainConfig) -> ParticleTrace:
@@ -459,6 +462,8 @@ def autocov_oracle(c, beta, lags):
     The symbol integral is the classical closed form beta * J0(2 c t) of
     the infinite harmonic chain (Rubin 1963; Ford, Kac & Mazur 1965).
     """
+    from scipy.special import j0   # slow to import; only needed here
+
     return beta * j0(2.0 * c * np.asarray(lags, dtype=float))
 
 
@@ -467,42 +472,41 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
 
     Run r is sample_invariant(cfg, default_rng([cfg.seed, r])) and
     contributes a biased-normalized time-averaged autocovariance; runs
-    are averaged in order. The p0 and q0 series of every run come from
-    one trig pass over the odd modes only, the even ones having a node
-    at the center. Lags are reported up to half the run length, capped
-    at the reflection-free window M/(2c).
+    are averaged in order. The p0 and q0 series of every run are sums
+    over the odd modes only, the even ones having a node at the center;
+    q0 is evaluated only over the reported lags. Lags are reported up to
+    half the run length, capped at the reflection-free window M/(2c).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     n, ctr = cfg.n_sites, cfg.center
+    t = cfg.t_grid
+    T = t.size
+    max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))
     # the center row phi0(k) is proportional to sin(pi k / 2): every even
     # mode has a node there, so p0 and q0 are sums over the odd modes
     odd = slice(0, None, 2)                        # k = 1, 3, 5, ...
     omega = cfg.mode_frequencies()[odd]
     phi0 = _site_rows(n, (ctr,))[0][odd]
 
-    # column r holds run r's p0 weights, column n_runs + r its q0 weights
-    Wc = np.empty((omega.size, 2 * n_runs))
-    Ws = np.empty((omega.size, 2 * n_runs))
+    # column r holds run r's weights
+    pc, ps = np.empty((2, omega.size, n_runs))
+    qc, qs = np.empty((2, omega.size, n_runs))
     for r in range(n_runs):
         state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
         qh, ph = _spectral_coeffs(state)
         qh, ph = qh[odd], ph[odd]
-        Wc[:, r] = phi0 * ph
-        Ws[:, r] = -phi0 * qh * omega
-        Wc[:, n_runs + r] = phi0 * qh
-        Ws[:, n_runs + r] = phi0 * ph / omega
+        pc[:, r] = phi0 * ph
+        ps[:, r] = -phi0 * qh * omega
+        qc[:, r] = phi0 * qh
+        qs[:, r] = phi0 * ph / omega
 
-    t = cfg.t_grid
-    series = _ensemble_series(cfg.dt, t.size, omega, Wc, Ws)   # (T, 2R)
-    p0_runs, q0_runs = series[:, :n_runs], series[:, n_runs:]
-
-    T = t.size
-    max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))
+    p0_runs = _ensemble_series(cfg.dt, T, omega, pc, ps)             # (T, R)
+    q0_runs = _ensemble_series(cfg.dt, max_lag + 1, omega, qc, qs)   # (L, R)
     gamma_hat = _mean_autocov(p0_runs, max_lag)
     lags = t[: max_lag + 1]
     oracle = autocov_oracle(cfg.c, cfg.beta, lags)
-    drift = np.var(q0_runs[: max_lag + 1] - q0_runs[0], axis=1)
+    drift = np.var(q0_runs - q0_runs[0], axis=1)
     return AutocorrReport(lags, gamma_hat, oracle, drift)
 
 

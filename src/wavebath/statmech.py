@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,8 @@ def ks_chi2_three(x):
     the result is scipy.stats.kstest(x, "chi2", args=(3,)).statistic,
     without the import cost of scipy.stats.
     """
+    from scipy.special import gammainc   # slow to import; only needed here
+
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
     cdf = gammainc(1.5, x / 2.0)

@@ -23,6 +23,14 @@ def python(args):
                           text=True, env=env, timeout=120)
 
 
+def assert_usage_error(proc, name):
+    """Exit 2 with one stderr line that names `name`, no traceback."""
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().count("\n") == 0
+    assert name in proc.stderr
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "run"
     code = main([*argv, "--out", str(out)])
@@ -223,6 +231,17 @@ class TestConfigFile:
         assert code == 2
         assert "dx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, name", [
+        ("[couple]\nfoster = k0=1\nseed = abc\n", "seed"),
+        ("foster = k0=1\n", "section"),
+    ], ids=["bad-seed", "no-section-header"])
+    def test_unparsable_config_exits_two_without_traceback(self, tmp_path,
+                                                           text, name):
+        cfg = self.write_config(tmp_path, text)
+        proc = python(["-m", "wavebath.cli", "couple", "--config", cfg,
+                       "--out", str(tmp_path / "run")])
+        assert_usage_error(proc, name)
+
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run(tmp_path, "couple", "--config",
                          str(tmp_path / "absent.ini"))
@@ -265,10 +284,7 @@ class TestUsageErrors:
                                                          argv):
         proc = python(["-m", "wavebath.cli", *argv, "--out",
                        str(tmp_path / "run")])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip().count("\n") == 0
-        assert "beta" in proc.stderr
+        assert_usage_error(proc, "beta")
 
     @pytest.mark.parametrize("argv, name", [
         (["autocorr", "--M", "40", "--t-max", "10", "--beta", "0",
@@ -279,10 +295,18 @@ class TestUsageErrors:
             self, tmp_path, argv, name):
         proc = python(["-m", "wavebath.cli", *argv, "--out",
                        str(tmp_path / "run")])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip().count("\n") == 0
-        assert name in proc.stderr
+        assert_usage_error(proc, name)
+
+    @pytest.mark.parametrize("foster, name", [
+        ("k0=1; tank=1,1; tank=1,1.0000000001", "lossless"),
+        ("k0=1; " + "; ".join(f"tank=1,{1 + 0.5 * i}" for i in range(17)),
+         "degree"),
+    ], ids=["coincident-tanks", "17-tanks"])
+    def test_uncouplable_load_exits_two_without_traceback(self, tmp_path,
+                                                          foster, name):
+        proc = python(["-m", "wavebath.cli", "couple", "--foster", foster,
+                       "--out", str(tmp_path / "run")])
+        assert_usage_error(proc, name)
 
     def test_mb_stats_skips_scipy_stats(self, tmp_path):
         proc = python(["-c", "import sys; from wavebath.cli import main; "
@@ -294,10 +318,35 @@ class TestUsageErrors:
 
     def test_import_skips_slow_scipy_modules(self):
         proc = python(["-c", "import sys, wavebath.cli; print(sorted("
-                       "m for m in ('scipy.integrate', 'scipy.stats') "
-                       "if m in sys.modules))"])
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["couple", "--foster", "k0=1"],
+        ["invert", "--phi", "1;1 0 -1"],
+        ["lattice-sim", "--M", "400", "--t-max", "100", "--seed", "3"],
+    ])
+    def test_command_runs_without_scipy(self, tmp_path, argv):
+        argv = [*argv, "--out", str(tmp_path / "run")]
+        proc = python(["-c", "import sys; from wavebath.cli import main; "
+                       f"code = main({argv!r}); print(code, sorted("
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
+    def test_autocorr_loads_only_scipy_special(self, tmp_path):
+        # the J0 oracle is the only scipy routine the chain commands use
+        argv = ["autocorr", "--M", "40", "--t-max", "10", "--runs", "4",
+                "--out", str(tmp_path / "run")]
+        proc = python(["-c", "import pkgutil, sys, scipy; "
+                       "from wavebath.cli import main; "
+                       f"code = main({argv!r}); print(code in (0, 1), sorted("
+                       "name for _, name, pkg in pkgutil.iter_modules("
+                       "scipy.__path__) if pkg and not name.startswith('_') "
+                       "and 'scipy.' + name in sys.modules))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True ['special']"
 
     def test_bad_init_choice(self, tmp_path):
         code, _, _ = run(tmp_path, "line-sim", "--foster", "k0=1",

@@ -29,7 +29,7 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import _ensemble_series, _gibbs_factor
+from wavebath.lattice import _dst1, _ensemble_series
 from wavebath.ratfun import RationalFunction
 
 
@@ -197,9 +197,17 @@ class TestGibbsSampling:
     @pytest.mark.parametrize("n", [5, 401, 4001])
     @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
     def test_closed_form_factor_matches_banded_cholesky(self, n, c):
-        oracle = cholesky_banded(banded_potential(n, c))
-        np.testing.assert_allclose(_gibbs_factor(n, c), oracle,
-                                   rtol=1e-14, atol=0)
+        # the cumulative-sum back-substitution solves R q = sqrt(beta) g
+        # to roundoff, R the numerically factored Cholesky factor of V^2
+        cfg = small_cfg(half_width=(n - 1) // 2, c=c, t_max=1.0)
+        q = sample_invariant(cfg, np.random.default_rng(9)).q
+        rng = np.random.default_rng(9)
+        rng.standard_normal(n)                           # p is drawn first
+        g = np.sqrt(cfg.beta) * rng.standard_normal(n)
+        R = cholesky_banded(banded_potential(n, c))     # superdiagonal, diagonal
+        Rq = R[1] * q
+        Rq[:-1] += R[0, 1:] * q[1:]
+        assert np.max(np.abs(Rq - g)) <= 1e-13 * c * np.max(np.abs(q))
 
     @pytest.mark.parametrize("half_width", [2, 200, 2000])
     def test_draw_matches_numerical_factorization(self, half_width):
@@ -214,6 +222,19 @@ class TestGibbsSampling:
                          g)
         assert np.array_equal(got.p, p)
         assert np.max(np.abs(got.q - q)) <= 1e-11 * np.max(np.abs(q))
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("n", [1, 2, 5, 801, 4001])
+    def test_matches_scipy_dst(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        oracle = dst(x, type=1, norm="ortho")
+        assert np.max(np.abs(_dst1(x) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 801, 4001])
+    def test_is_its_own_inverse(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        assert np.max(np.abs(_dst1(_dst1(x)) - x)) <= 1e-14 * np.max(np.abs(x))
 
 
 class TestExactFlow:
