@@ -328,22 +328,28 @@ def _run_wave_sim(params, seed, out_dir, convention):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     n = cfg.n_cells
-    if params["init"] == "bump":
-        x = np.arange(n) * cfg.dx
-        v0 = np.exp(-((x - params["center"]) ** 2) / params["width"])
-        field = waveline.init_waves(v0, v0, cfg.dx)
-    elif params["init"] == "noise":
-        rng = np.random.default_rng(seed)
-        field = waveline.gaussian_field(rng, n, cfg.dx, params["sigma"])
-    else:
-        raise ConfigError(f"unknown init {params['init']!r}")
+    try:
+        if params["init"] == "bump":
+            x = np.arange(n) * cfg.dx
+            # a zero or non-finite width or center is refused by init_waves
+            with np.errstate(all="ignore"):
+                v0 = np.exp(-((x - params["center"]) ** 2) / params["width"])
+            field = waveline.init_waves(v0, v0, cfg.dx)
+        elif params["init"] == "noise":
+            rng = np.random.default_rng(seed)
+            field = waveline.gaussian_field(rng, n, cfg.dx, params["sigma"])
+        else:
+            raise ConfigError(f"unknown init {params['init']!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     with _load_rejected_as_config_error():
         pair = coupling.close_loops(load)
         obs = coupling.Observable.build(load, load.ss.c, 0.0)
+    boundary = waveline.BoundaryCoupler(load, pair, obs, cfg.dt, cfg.far_end,
+                                        cfg.reflection_free, convention)
     try:
-        _, trace = waveline.run_line(cfg, field, obs=obs,
-                                     convention=convention)
+        _, trace = waveline.propagate(field, cfg.n_steps, boundary)
     except waveline.ReflectionWindowError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .ratfun import RationalFunction, is_inner
 from .waveline import ReflectionWindowError
 
@@ -154,11 +155,8 @@ class ParticleTrace:
     w_bar: np.ndarray
 
     def to_csv(self, fh):
-        fh.write("t,q0,p0,w,wbar\n")
-        for m in range(self.t_grid.size):
-            row = (self.t_grid[m], self.q0[m], self.p0[m],
-                   self.w[m], self.w_bar[m])
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        write_csv(fh, "t,q0,p0,w,wbar",
+                  (self.t_grid, self.q0, self.p0, self.w, self.w_bar))
 
 
 def dirichlet_potential(n_sites, c):
@@ -450,10 +448,8 @@ class AutocorrReport:
     q_drift: np.ndarray
 
     def to_csv(self, fh):
-        fh.write("lag,empirical,oracle\n")
-        for m in range(self.lags.size):
-            fh.write("%.17g,%.17g,%.17g\n"
-                     % (self.lags[m], self.empirical[m], self.oracle[m]))
+        write_csv(fh, "lag,empirical,oracle",
+                  (self.lags, self.empirical, self.oracle))
 
 
 def autocov_oracle(c, beta, lags):

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
+
 
 @dataclass(frozen=True)
 class MBParams:
@@ -142,15 +144,11 @@ class SeriesStats:
     power: np.ndarray
 
     def to_acov_csv(self, fh):
-        fh.write("lag,acov,band\n")
-        for m in range(self.lags.size):
-            fh.write("%.17g,%.17g,%.17g\n"
-                     % (self.lags[m], self.acov[m], self.band))
+        write_csv(fh, "lag,acov,band",
+                  (self.lags, self.acov, np.full(self.lags.size, self.band)))
 
     def to_spectrum_csv(self, fh):
-        fh.write("freq,power\n")
-        for m in range(self.freqs.size):
-            fh.write("%.17g,%.17g\n" % (self.freqs[m], self.power[m]))
+        write_csv(fh, "freq,power", (self.freqs, self.power))
 
 
 def autocovariance(series, max_lag, dt=1.0) -> SeriesStats:

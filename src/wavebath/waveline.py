@@ -4,8 +4,7 @@ With wave speed normalized to 1 the d'Alembert split v = a' + b',
 i = a' - b' turns the interior PDE into two translations: the a'
 profile moves toward the load (incoming), the b' profile moves away
 (outgoing). On a grid with dt = dx both translations are exact index
-shifts, so the only numerical work is the n-dimensional load ODE at
-the boundary,
+shifts, so the only numerical work is the load ODE at the boundary,
 
     xi' = Gamma xi + 2 b0 w,   w(t) = a'(t),
 
@@ -18,6 +17,18 @@ the load-energy increment obeys the exact discrete identity
 dE = dt (w_m^2 - e_m^2) via the certificate pair (A^T O + O A = 0,
 O b0 = c0^T), so total energy (line sum + load quadratic + radiated)
 is conserved to roundoff, with no O(dx) bookkeeping residue.
+
+Because the shifts are exact, the line is a pair of delay lines, as
+in digital-waveguide models (J. O. Smith, Physical Audio Signal
+Processing). On a line of n cells the load first sees the initial
+incoming tape (n steps), then the initial outgoing tape reflected at
+the far end, then its own emitted cells 2n steps late; the far end
+reflects with rho = 0 (open) or rho = -1 (shorted). Every input of a
+block of 2n steps is therefore known before the block starts, so the
+simulation steps the load with the same Cayley recurrence as the
+reduced models, one block at a time, and rebuilds the tapes, the
+radiated tally and the energy column from the sample series. A run
+costs O(steps + cells) rather than O(steps * cells).
 
 Wave sign conventions: the line trace stores the outgoing series as
 wbar = w - v0 (the transmission-line orientation); the string
@@ -36,6 +47,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._csv import write_csv
 from .coupling import CoupledModelPair, Observable, close_loops
 from .realization import LosslessRealization
 
@@ -77,6 +89,10 @@ class LineConfig:
     def __post_init__(self):
         if not (self.dx > 0 and np.isfinite(self.dx)):
             raise ValueError(f"dx must be positive, got {self.dx}")
+        if not (np.isfinite(self.x_max) and np.isfinite(self.t_max)):
+            raise ValueError(
+                f"x_max and t_max must be finite, got {self.x_max}, {self.t_max}"
+            )
         cells = self.x_max / self.dx
         if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             raise ValueError("x_max must be an integer multiple of dx")
@@ -181,10 +197,8 @@ class BoundaryTrace:
         """Fixed-order CSV: t,xi_1..xi_n,y,w,wbar (17 significant digits)."""
         n = self.xi.shape[1]
         header = "t," + ",".join(f"xi_{k + 1}" for k in range(n)) + ",y,w,wbar"
-        fh.write(header + "\n")
-        for m in range(self.t_grid.size):
-            row = [self.t_grid[m], *self.xi[m], self.y[m], self.w[m], self.w_bar[m]]
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        write_csv(fh, header,
+                  (self.t_grid, self.xi, self.y, self.w, self.w_bar))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,78 +244,99 @@ def _cayley(G, gain, h):
     return S, g
 
 
+def _cayley_steps(S, g, u, x0):
+    """Trapezoidal steps x[m+1] = S x[m] + g u[m] over a known input u.
+
+    Returns the len(u) + 1 states, x0 first. This is the module's only
+    per-step loop: the line simulation and both reduced models run it.
+    """
+    x = np.empty((len(u) + 1, S.shape[0]))
+    x[0] = x0
+    for m, u_m in enumerate(u.tolist()):
+        x[m + 1] = S @ x[m] + g * u_m
+    return x
+
+
 def propagate(field: WaveField, steps: int, boundary: BoundaryCoupler,
               xi0=None):
     """Run the coupled system for the given number of steps.
 
     Returns (final field, boundary trace). The input field is not
-    modified. Interior transport is an exact shift; all arithmetic
-    happens in the boundary cell and the load state.
+    modified.
+
+    The line is a pair of delay lines. With n cells, w[k] is the
+    incoming sample the load sees at step k and d[k] the outgoing
+    sample that reaches the far end during step k; after m steps the
+    tapes read a'[j] = w[m + j] and b'[j] = d[m + n - 1 - j]. So
+    d = (b'_0 reversed, e), with e the cells the load emits, and
+    w = (a'_0, rho d) with rho = 0 for an open far end and -1 for a
+    shorted one. An emitted cell comes back to the load 2n steps
+    later, so every input of a block of 2n steps is known before the
+    block starts: the load is stepped one block at a time (a guarded
+    run is a single block), and the tapes, the radiated tally and the
+    energy column follow from the samples by index arithmetic and one
+    cumulative sum.
     """
-    a = field.a_prime.copy()
-    b = field.b_prime.copy()
-    dx = field.dx
-    radiated = field.radiated
-    n_cells = a.size
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    a0, b0, dx = field.a_prime, field.b_prime, field.dx
+    n = a0.size
+    if n == 0:
+        raise ValueError("line needs at least one cell")
 
-    load, pair, obs = boundary.load, boundary.pair, boundary.obs
+    load, obs = boundary.load, boundary.obs
     S, g = boundary.step_matrix, boundary.input_matrix
     c0 = load.ss.c
-    om = load.omega
     h = boundary.dt
     sign = 1.0 if boundary.convention == "line" else -1.0
+    shorted = boundary.far_end == "shorted"
+    guarded = shorted and boundary.reflection_free
 
-    n = load.dim
-    xi = np.zeros(n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    t = np.arange(steps + 1) * h
-    xis = np.empty((steps + 1, n))
-    ys = np.empty(steps + 1)
-    ws = np.empty(steps + 1)
-    wbars = np.empty(steps + 1)
-    energies = np.empty(steps + 1)
-
-    def record(m, xi_now):
-        xis[m] = xi_now
-        ws[m] = a[0]
-        ys[m] = obs.h @ xi_now + 2.0 * obs.d * a[0]
-        energies[m] = (
-            dx * (a @ a + b @ b) + 0.5 * (xi_now @ om @ xi_now) + radiated
-        )
-
-    record(0, xi)
-    for m in range(steps):
-        u = a[0]
-        xi_next = S @ xi + g * u
-        xi_mid = 0.5 * (xi + xi_next)
-        v_mid = c0 @ xi_mid
-        emitted = v_mid - u          # outgoing cell written at the boundary
-        wbars[m] = sign * (u - v_mid)
-        # outgoing tape shifts away from the load
-        departing = b[-1]
-        b[1:] = b[:-1]
-        b[0] = emitted
-        # incoming tape shifts toward the load; far end feeds the last cell
-        a[:-1] = a[1:]
-        if boundary.far_end == "open":
-            a[-1] = 0.0
-            radiated += dx * departing * departing
-        else:  # shorted: v(x_max) = 0 reflects with sign flip
-            if boundary.reflection_free and departing != 0.0:
+    w = np.zeros(steps + n)
+    w[:n] = a0
+    d = np.empty(steps + n)
+    d[:n] = b0[::-1]
+    xis = np.empty((steps + 1, load.dim))
+    xis[0] = 0.0 if xi0 is None else xi0
+    for k0 in range(0, steps, 2 * n):
+        k1 = min(k0 + 2 * n, steps)
+        if shorted:  # v(x_max) = 0 reflects with a sign flip
+            lo = max(k0, n)
+            w[lo:k1] = -d[lo - n:k1 - n]
+        xis[k0:k1 + 1] = _cayley_steps(S, g, w[k0:k1], xis[k0])
+        xi_mid = 0.5 * (xis[k0:k1] + xis[k0 + 1:k1 + 1])
+        d[n + k0:n + k1] = xi_mid @ c0 - w[k0:k1]
+        if guarded:
+            hit = np.flatnonzero(d[k0:k1])
+            if hit.size:
+                m = k0 + int(hit[0])
                 raise ReflectionWindowError(
                     f"reflection would re-enter at step {m + 1} "
                     f"(t = {(m + 1) * h:.6g})"
                 )
-            a[-1] = -departing
-        xi = xi_next
-        record(m + 1, xi)
-    # final row: no produced cell, store the point value
-    wbars[steps] = sign * (ws[steps] - c0 @ xi)
+    if shorted:  # the last incoming sample and the final a' tape
+        w[n:] = -d[:steps]
+    e = d[n:]
 
-    out = WaveField(a, b, dx, radiated)
-    trace = BoundaryTrace(t, xis, ys, ws, wbars, energies,
-                          boundary.convention)
+    radiated = field.radiated
+    if not shorted:
+        departing = d[:steps]
+        radiated += dx * (departing @ departing)
+    out = WaveField(w[steps:], d[steps:][::-1], dx, radiated)
+
+    ws = w[:steps + 1]
+    wbars = np.empty(steps + 1)
+    wbars[:steps] = -sign * e
+    # final row: no produced cell, store the point value
+    wbars[steps] = sign * (ws[steps] - c0 @ xis[steps])
+    ys = xis @ obs.h + 2.0 * obs.d * ws
+    flux = np.zeros(steps + 1)
+    np.cumsum(e * e - ws[:steps] * ws[:steps], out=flux[1:])
+    energies = (dx * (a0 @ a0 + b0 @ b0 + flux)
+                + 0.5 * np.einsum("mi,ij,mj->m", xis, load.omega, xis)
+                + field.radiated)
+    trace = BoundaryTrace(np.arange(steps + 1) * h, xis, ys, ws, wbars,
+                          energies, boundary.convention)
     return out, trace
 
 
@@ -335,11 +370,7 @@ def reduced_forward(pair: CoupledModelPair, obs: Observable, w, xi0, dt):
         raise ValueError("w must be a nonempty 1-d series")
     steps = w.size - 1
     S, g = _cayley(pair.gamma, pair.input_gain, dt)
-    n = pair.dim
-    xis = np.empty((steps + 1, n))
-    xis[0] = np.asarray(xi0, dtype=float)
-    for m in range(steps):
-        xis[m + 1] = S @ xis[m] + g * w[m]
+    xis = _cayley_steps(S, g, w[:steps], xi0)
     ys = xis @ obs.h + 2.0 * obs.d * w
     return xis, ys
 
@@ -365,10 +396,10 @@ def reduced_backward(pair: CoupledModelPair, obs: Observable, w_bar, xiT,
     steps = w_bar.size - 1
     sign = 1.0 if convention == "line" else -1.0
     S, g = _cayley(pair.gamma_bar, pair.input_gain, -dt)
-    xis = np.empty((steps + 1, pair.dim))
-    xis[steps] = np.asarray(xiT, dtype=float)
-    for m in range(steps - 1, -1, -1):
-        xis[m] = S @ xis[m + 1] + sign * g * w_bar[m]
+    # run in reverse time, then return the states in time order; the
+    # contiguous copy keeps y's matrix product in the forward layout
+    xis = np.ascontiguousarray(
+        _cayley_steps(S, sign * g, w_bar[:steps][::-1], xiT)[::-1])
     ys = xis @ obs.h_bar + 2.0 * obs.d * w_bar
     return xis, ys
 

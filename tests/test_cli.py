@@ -308,6 +308,22 @@ class TestUsageErrors:
                        "--out", str(tmp_path / "run")])
         assert_usage_error(proc, name)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["line-sim", "--t-max", "nan"], "t_max"),
+        (["line-sim", "--no-guarded", "--t-max", "inf"], "t_max"),
+        (["string-sim", "--x-max", "inf"], "x_max"),
+        (["line-sim", "--center", "nan"], "finite"),
+        (["line-sim", "--width", "0"], "finite"),
+        (["string-sim", "--init", "noise", "--sigma", "nan"], "finite"),
+    ], ids=["t-max-nan", "unguarded-t-max-inf", "x-max-inf", "center-nan",
+            "width-zero", "sigma-nan"])
+    def test_non_finite_line_input_exits_two_without_traceback(
+            self, tmp_path, argv, name):
+        proc = python(["-m", "wavebath.cli", *argv, "--foster", "k0=1",
+                       "--out", str(tmp_path / "run")])
+        assert_usage_error(proc, name)
+        assert not (tmp_path / "run" / "summary.json").exists()
+
     def test_mb_stats_skips_scipy_stats(self, tmp_path):
         proc = python(["-c", "import sys; from wavebath.cli import main; "
                        "code = main(['mb-stats', '--n', '1000', '--out', "

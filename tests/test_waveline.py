@@ -11,6 +11,7 @@ from wavebath.coupling import Observable, close_loops
 from wavebath.realization import FosterSpec, foster_realize, random_foster
 from wavebath.waveline import (
     BoundaryCoupler,
+    BoundaryTrace,
     ContaminatedWindowError,
     DegenerateProbeError,
     LineConfig,
@@ -38,6 +39,75 @@ def bump_field(x_max, dx, center=2.0, width=0.08):
     return init_waves(v0, v0, dx)
 
 
+def _reference_propagate(field, steps, boundary, xi0=None):
+    """Tape-shifting oracle for `propagate`.
+
+    Shifts both tapes one cell per step and sums the whole-line energy
+    at every step: O(cells) work per step, with no delay-line algebra.
+    """
+    a = field.a_prime.copy()
+    b = field.b_prime.copy()
+    dx = field.dx
+    radiated = field.radiated
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+
+    load, obs = boundary.load, boundary.obs
+    S, g = boundary.step_matrix, boundary.input_matrix
+    c0 = load.ss.c
+    om = load.omega
+    h = boundary.dt
+    sign = 1.0 if boundary.convention == "line" else -1.0
+
+    n = load.dim
+    xi = np.zeros(n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
+    t = np.arange(steps + 1) * h
+    xis = np.empty((steps + 1, n))
+    ys = np.empty(steps + 1)
+    ws = np.empty(steps + 1)
+    wbars = np.empty(steps + 1)
+    energies = np.empty(steps + 1)
+
+    def record(m, xi_now):
+        xis[m] = xi_now
+        ws[m] = a[0]
+        ys[m] = obs.h @ xi_now + 2.0 * obs.d * a[0]
+        energies[m] = (
+            dx * (a @ a + b @ b) + 0.5 * (xi_now @ om @ xi_now) + radiated
+        )
+
+    record(0, xi)
+    for m in range(steps):
+        u = a[0]
+        xi_next = S @ xi + g * u
+        xi_mid = 0.5 * (xi + xi_next)
+        v_mid = c0 @ xi_mid
+        emitted = v_mid - u
+        wbars[m] = sign * (u - v_mid)
+        departing = b[-1]
+        b[1:] = b[:-1]
+        b[0] = emitted
+        a[:-1] = a[1:]
+        if boundary.far_end == "open":
+            a[-1] = 0.0
+            radiated += dx * departing * departing
+        else:
+            if boundary.reflection_free and departing != 0.0:
+                raise ReflectionWindowError(
+                    f"reflection would re-enter at step {m + 1} "
+                    f"(t = {(m + 1) * h:.6g})"
+                )
+            a[-1] = -departing
+        xi = xi_next
+        record(m + 1, xi)
+    wbars[steps] = sign * (ws[steps] - c0 @ xi)
+
+    out = WaveField(a, b, dx, radiated)
+    trace = BoundaryTrace(t, xis, ys, ws, wbars, energies,
+                          boundary.convention)
+    return out, trace
+
+
 class TestLineConfig:
     def test_properties(self):
         cfg = LineConfig(dx=0.01, x_max=2.0, t_max=1.5, load=CAP)
@@ -54,6 +124,8 @@ class TestLineConfig:
             dict(t_max=0.0),
             dict(t_max=4.0),             # >= 2 x_max in reflection-free mode
             dict(far_end="absorbing"),
+            dict(t_max=np.nan),
+            dict(x_max=np.inf),
         ],
     )
     def test_rejects_bad_geometry(self, kw):
@@ -217,6 +289,94 @@ class TestEnergyLedger:
             run_line(cfg, field)
 
 
+def _coupler(load, n_cells, far_end="open", reflection_free=True):
+    """Boundary step for a line of n_cells at dx = 0.01."""
+    return BoundaryCoupler.from_config(LineConfig(
+        dx=0.01, x_max=n_cells * 0.01, t_max=0.01, load=load,
+        far_end=far_end, reflection_free=reflection_free))
+
+
+class TestDelayEngine:
+    """The delay-line engine against the tape-shifting oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(field, steps, boundary, xi0=None):
+        out, trace = propagate(field, steps, boundary, xi0=xi0)
+        ref_out, ref = _reference_propagate(field, steps, boundary, xi0=xi0)
+        if boundary.far_end == "open":
+            assert np.array_equal(trace.xi, ref.xi)
+            assert np.array_equal(trace.w, ref.w)
+        assert np.array_equal(trace.t_grid, ref.t_grid)
+        for got, want in [
+            (trace.xi, ref.xi), (trace.w, ref.w), (trace.w_bar, ref.w_bar),
+            (trace.y, ref.y), (trace.energy, ref.energy),
+            (out.a_prime, ref_out.a_prime), (out.b_prime, ref_out.b_prime),
+            (np.float64(out.radiated), np.float64(ref_out.radiated)),
+        ]:
+            assert got.shape == want.shape
+            err = np.max(np.abs(got - want), initial=0.0)
+            assert err <= 1e-12 * np.max(np.abs(want), initial=0.0)
+        return out, trace
+
+    @pytest.mark.parametrize("load", [CAP, CAP_TANK], ids=["dim1", "dim3"])
+    def test_open_noise_runs(self, load):
+        rng = np.random.default_rng(43)
+        field = gaussian_field(rng, 150, dx=0.01, sigma=0.5)
+        self.assert_matches_oracle(field, 290, _coupler(load, 150))
+
+    def test_open_run_past_the_reflection_window(self):
+        rng = np.random.default_rng(44)
+        field = gaussian_field(rng, 20, dx=0.01, sigma=0.5)
+        boundary = _coupler(CAP_TANK, 20, reflection_free=False)
+        self.assert_matches_oracle(field, 135, boundary)
+
+    @pytest.mark.parametrize("n_cells, steps", [(2, 23), (7, 95)])
+    def test_shorted_far_end_with_reflections(self, n_cells, steps):
+        rng = np.random.default_rng(47)
+        field = gaussian_field(rng, n_cells, dx=0.01, sigma=0.5)
+        boundary = _coupler(CAP_TANK, n_cells, far_end="shorted",
+                            reflection_free=False)
+        self.assert_matches_oracle(field, steps, boundary)
+
+    @pytest.mark.parametrize("far_end", ["open", "shorted"])
+    def test_initial_state_and_radiated_tally(self, far_end):
+        rng = np.random.default_rng(53)
+        a, b = rng.standard_normal((2, 30))
+        field = WaveField(a, b, 0.01, radiated=0.25)
+        boundary = _coupler(CAP_TANK, 30, far_end=far_end,
+                            reflection_free=False)
+        out, _ = self.assert_matches_oracle(field, 70, boundary,
+                                            xi0=[0.3, -1.2, 0.8])
+        assert (out.radiated > 0.25) == (far_end == "open")
+
+    def test_zero_steps(self):
+        rng = np.random.default_rng(59)
+        field = gaussian_field(rng, 12, dx=0.01, sigma=0.5)
+        out, trace = self.assert_matches_oracle(field, 0, _coupler(TANK, 12),
+                                                xi0=[0.5, -0.5])
+        assert trace.xi.shape == (1, 2)
+        assert np.array_equal(out.a_prime, field.a_prime)
+        assert np.array_equal(out.b_prime, field.b_prime)
+
+    @pytest.mark.parametrize("outgoing", [True, False],
+                             ids=["initial-tape", "emitted-cell"])
+    def test_guard_message_matches_oracle(self, outgoing):
+        # A cell of the initial outgoing tape reaches the far end before
+        # the load's first emission does, or (b' = 0) the emission does.
+        n = 200
+        b0 = np.zeros(n)
+        if outgoing:
+            b0[100:110] = 1.0
+        field = WaveField(bump_field(2.0, 0.01, center=0.3).a_prime, b0, 0.01)
+        boundary = _coupler(CAP, n, far_end="shorted")
+        with pytest.raises(ReflectionWindowError) as ref:
+            _reference_propagate(field, 350, boundary)
+        with pytest.raises(ReflectionWindowError) as got:
+            propagate(field, 350, boundary)
+        assert str(got.value) == str(ref.value)
+        assert f"step {91 if outgoing else 201} " in str(got.value)
+
+
 @pytest.fixture(scope="module")
 def tank_trace():
     field = bump_field(26.0, 0.01)
@@ -338,6 +498,10 @@ class TestTraceExport:
         assert float(probe[0]) == trace.t_grid[m]
         assert float(probe[1]) == trace.xi[m, 0]
         assert float(probe[5]) == trace.w_bar[m]
+        rows = zip(trace.t_grid, *trace.xi.T, trace.y, trace.w, trace.w_bar)
+        expected = "".join(",".join("%.17g" % x for x in row) + "\n"
+                           for row in rows)
+        assert buf.getvalue() == lines[0] + "\n" + expected
 
 
 @settings(max_examples=20, deadline=None)
