@@ -249,9 +249,9 @@ def _load_from(params):
 
 @contextmanager
 def _load_rejected_as_config_error():
-    """A well-formed load that the coefficient route cannot carry (too
-    many tanks for DEGREE_CAP, near-coincident tank frequencies) is bad
-    input, not a failed check: exit 2 with one line, not a traceback."""
+    """A well-formed load that cannot be carried (not minimal, or past
+    DEGREE_CAP in a command that works in coefficients) is bad input,
+    not a failed check: exit 2 with one line, not a traceback."""
     try:
         yield
     except ValueError as exc:

@@ -6,39 +6,40 @@ and an outgoing wave; eliminating either one yields two state
 representations of the same trajectory,
 
     forward   xi' = Gamma xi     + 2 b0 w,      Gamma    = A - b0 c0,
-    backward  xi' = Gamma_bar xi + 2 b0 wbar,   Gamma_bar = A + b0 c0,
+    backward  xi' = Gamma_bar xi + 2 b0 wbar,   Gamma_bar = A + b0 c0.
 
-with det(sI - Gamma) ~ D + N Hurwitz and det(sI - Gamma_bar) ~ D - N
-anti-Hurwitz. The reflection map from the incoming wave to the
-outgoing wave (outgoing measured positive) is the scattering function
+The reflection map from the incoming wave to the outgoing wave
+(outgoing measured positive) is the scattering function
 
-    K(s) = (Z(s) - 1)/(Z(s) + 1),    K(infinity) = -1,
+    K(s) = (Z(s) - 1)/(Z(s) + 1) = -prod_i (s + lam_i)/(s - lam_i),
 
-an inner function. All transfer identities in this module are stated
-with that outgoing-positive sign; the raw resolvent quotient between
-the two representations is the negative of K because the backward
-drive enters with the opposite orientation, and the functions below
-normalize it so that both computation routes return the same K.
+over lam = eig(Gamma): a finite Blaschke product. In the realization
+foster_realize builds (Omega = I, A skew, b0 = c0^T) the certificate
+is two identities, Gamma_bar = -Gamma^T and Gamma + Gamma^T =
+-2 b0 b0^T, so the spectra mirror and Gamma is stable once the load is
+minimal; the coupled pair checks just these and the pole margin.
+scattering_K (from the impedance) and scattering_K_statespace (a
+resolvent quotient, whose raw value is -K since the backward drive
+enters with the opposite orientation) are kept as coefficient oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .ratfun import RationalFunction, is_inner, is_lossless_pr
+from .ratfun import (SNAP_TOL, Polynomial, RationalFunction, is_inner,
+                     is_lossless_pr, spectral_factor)
 from .realization import (
-    FosterExtractionError,
     ImproperImpedanceError,
     LosslessRealization,
     StateSpace,
     foster_from_rational,
     foster_realize,
     transfer_function,
-    verify_lossless_certificate,
 )
-from .ratfun import spectral_factor
 
 
 class InvalidLoadError(ValueError):
@@ -59,18 +60,19 @@ class SynthesisStageError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CoupledModelPair:
-    """Forward/backward feedback matrices plus the scattering function.
+    """Forward/backward feedback matrices and the poles of K.
 
-    Invariants established on construction: the forward spectrum lies
-    strictly in the open left half-plane, the backward spectrum is its
-    mirror image (greedy matching within 1e-6 of the spectral radius),
-    and K is inner.
+    Construction checks Gamma_bar + Gamma^T = 0 and
+    Gamma + Gamma^T + g g^T / 2 = 0 (g = input_gain) to 1e-12 of the
+    matrix scale, and refuses an eigenvalue of Gamma with
+    Re lam >= -SNAP_TOL (1 + |lam|), the pole margin of is_inner. The
+    eigenvalues are kept as `poles`; K is expanded on first access.
     """
 
     gamma: np.ndarray
     gamma_bar: np.ndarray
     input_gain: np.ndarray
-    K: RationalFunction
+    poles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
@@ -84,21 +86,34 @@ class CoupledModelPair:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "gamma_bar", gb)
         object.__setattr__(self, "input_gain", gain)
-        ef = np.linalg.eigvals(g)
-        if np.any(ef.real >= 0):
+        half_ggt = 0.5 * np.outer(gain, gain)
+        res = np.max([mirror_residual(self),
+                      np.max(np.abs(g + g.T + half_ggt))])
+        scale = max(np.max(np.abs(g)), np.max(np.abs(gb)), np.max(half_ggt))
+        if not res <= 1e-12 * scale:
+            raise ValueError(f"pair is not lossless: identity residual "
+                             f"{res:.3e} at matrix scale {scale:.3e}")
+        lam = np.linalg.eigvals(g)
+        if not np.all(lam.real < -SNAP_TOL * (1.0 + np.abs(lam))):
             raise ValueError(
-                f"forward matrix must be strictly stable, eigs {ef}"
+                "load is not lossless-minimal: forward matrix not strictly "
+                f"stable, max Re eig {np.max(lam.real):.3e}"
             )
-        res = mirror_residual(self)
-        rho = float(np.max(np.abs(ef)))
-        if res > 1e-6 * max(rho, 1.0):
-            raise ValueError(f"spectra are not mirror images (residual {res:.3e})")
-        if not is_inner(self.K):
-            raise ValueError("scattering function is not inner")
+        lam.setflags(write=False)
+        object.__setattr__(self, "poles", lam)
 
     @property
     def dim(self):
         return self.gamma.shape[0]
+
+    @cached_property
+    def K(self) -> RationalFunction:
+        """-prod (s + lam)/(s - lam) in coefficients; the numerator is
+        (-1)^(n+1) den(-s). Raises DegreeCapError past DEGREE_CAP."""
+        den = Polynomial.from_roots(self.poles)
+        sign = 1.0 if self.dim % 2 else -1.0
+        return RationalFunction(den.reflected().scaled(sign), den,
+                                reduce=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,29 +158,21 @@ class Observable:
 
 
 def close_loops(load: LosslessRealization) -> CoupledModelPair:
-    """Build the forward/backward pair for a certified lossless load.
+    """Build the forward/backward pair of an Omega = I lossless load.
 
-    The scattering function is computed from the impedance (canonical
-    route) and cross-checked against the state-space resolvent
-    quotient; disagreement indicates a conditioning problem and is
-    reported rather than ignored.
+    Forms Gamma = A - b0 c0 and Gamma_bar = A + b0 c0; the pair's
+    constructor is the certificate. A load with another energy metric,
+    or one whose pair fails its identities or its pole margin (a
+    non-minimal load has a mode on the axis), raises InvalidLoadError.
     """
-    rep = verify_lossless_certificate(load)
-    if not rep.ok:
-        raise InvalidLoadError(
-            f"certificate residuals too large: lyapunov "
-            f"{rep.lyapunov_residual:.2e}, gain {rep.gain_residual:.2e}"
-        )
+    if not np.array_equal(load.omega, np.eye(load.dim)):
+        raise InvalidLoadError("close_loops needs the Omega = I realization")
     A, b0, c0 = load.ss.A, load.ss.b, load.ss.c
     outer = np.outer(b0, c0)
-    Z0 = transfer_function(load.ss)
-    pair = CoupledModelPair(A - outer, A + outer, 2.0 * b0, scattering_K(Z0))
-    K_ss = scattering_K_statespace(pair, load)
-    if not K_ss.close_to(pair.K, tol=1e-8):
-        raise InvalidLoadError(
-            "scattering routes disagree beyond 1e-8; load is ill-conditioned"
-        )
-    return pair
+    try:
+        return CoupledModelPair(A - outer, A + outer, 2.0 * b0)
+    except ValueError as exc:
+        raise InvalidLoadError(str(exc)) from exc
 
 
 def scattering_K(Z0: RationalFunction, validate=True) -> RationalFunction:
@@ -315,10 +322,7 @@ def match_observable_to_factor(load: LosslessRealization,
             "target factor must be strictly proper with denominator "
             "degree equal to the load dimension"
         )
-    char = transfer_function(
-        StateSpace(pair.gamma, b0, np.zeros(n), 1.0), reduce=False
-    ).den
-    if not _dens_match(char, W_target.den):
+    if not _dens_match(pair.K.den, W_target.den):
         raise ValueError(
             "target denominator is not the forward characteristic polynomial"
         )
@@ -355,16 +359,8 @@ def _dens_match(p, q, tol=1e-9):
 
 
 def mirror_residual(pair: CoupledModelPair) -> float:
-    """Greedy multiset match of eig(gamma_bar) against -eig(gamma)."""
-    ef = np.linalg.eigvals(pair.gamma)
-    eb = list(np.linalg.eigvals(pair.gamma_bar))
-    worst = 0.0
-    for lam in ef:
-        dists = [abs(mu + lam) for mu in eb]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        eb.pop(j)
-    return float(worst)
+    """max |Gamma_bar + Gamma^T|: zero makes eig(Gamma_bar) = -eig(Gamma)."""
+    return float(np.max(np.abs(pair.gamma_bar + pair.gamma.T)))
 
 
 def allpass_residual(K: RationalFunction, n_points=200) -> float:
@@ -376,7 +372,7 @@ def allpass_residual(K: RationalFunction, n_points=200) -> float:
 
 def coupling_report(pair: CoupledModelPair) -> dict:
     """JSON-ready summary: spectra, K coefficients, residuals."""
-    ef = np.sort_complex(np.linalg.eigvals(pair.gamma))
+    ef = np.sort_complex(pair.poles)
     eb = np.sort_complex(np.linalg.eigvals(pair.gamma_bar))
     return {
         "gamma_eigs": [[z.real, z.imag] for z in ef],

@@ -184,14 +184,10 @@ class LosslessRealization:
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
         if validate:
-            rep = verify_lossless_certificate(self)
-            if not rep.ok:
-                raise ValueError(
-                    "energy certificate violated: "
-                    f"lyapunov {rep.lyapunov_residual:.3e}, "
-                    f"gain {rep.gain_residual:.3e}, "
-                    f"max Re eig {rep.max_real_eig:.3e}"
-                )
+            *residuals, _ = _certificate_residuals(self)
+            if not _certified(*residuals):
+                raise ValueError("energy certificate violated: lyapunov %.3e, "
+                                 "gain %.3e, max Re eig %.3e" % tuple(residuals))
 
     @property
     def dim(self):
@@ -214,12 +210,8 @@ class CertificateReport:
     ok: bool = field(init=False)
 
     def __post_init__(self):
-        good = (
-            self.lyapunov_residual < 1e-8
-            and self.gain_residual < 1e-8
-            and self.max_real_eig < 1e-8
-        )
-        object.__setattr__(self, "ok", bool(good))
+        object.__setattr__(self, "ok", _certified(
+            self.lyapunov_residual, self.gain_residual, self.max_real_eig))
 
 
 def foster_to_rational(spec: FosterSpec) -> RationalFunction:
@@ -274,8 +266,16 @@ def verify_lossless_certificate(r: LosslessRealization) -> CertificateReport:
 
     Residuals are normalized by the magnitude of the data they involve
     so a perturbation of size eps shows up as a residual of order eps
-    regardless of the load's scale.
+    regardless of the load's scale. Only this report runs the PBH SVDs.
     """
+    lyap, gain, max_re, eigs = _certificate_residuals(r)
+    ctrb = _pbh_margin(r.ss.A, r.ss.b, eigs)
+    obsv = _pbh_margin(r.ss.A.T, r.ss.c, eigs)
+    return CertificateReport(lyap, gain, max_re, ctrb, obsv)
+
+
+def _certificate_residuals(r):
+    """(lyapunov, gain, max |Re eig A|, eig A) of a realization."""
     A, b, c = r.ss.A, r.ss.b, r.ss.c
     om = r.omega
     scale_a = max(np.max(np.abs(A)) * np.max(np.abs(om)), 1e-30)
@@ -284,9 +284,11 @@ def verify_lossless_certificate(r: LosslessRealization) -> CertificateReport:
     gain = np.max(np.abs(om @ b - c)) / scale_b
     eigs = np.linalg.eigvals(A)
     max_re = float(np.max(np.abs(eigs.real))) if eigs.size else 0.0
-    ctrb = _pbh_margin(A, b, eigs)
-    obsv = _pbh_margin(A.T, c, eigs)
-    return CertificateReport(float(lyap), float(gain), max_re, ctrb, obsv)
+    return float(lyap), float(gain), max_re, eigs
+
+
+def _certified(lyap, gain, max_re):
+    return bool(lyap < 1e-8 and gain < 1e-8 and max_re < 1e-8)
 
 
 def _pbh_margin(A, v, eigs):

@@ -23,6 +23,11 @@ def python(args):
                           text=True, env=env, timeout=120)
 
 
+# 35 state dimensions: past DEGREE_CAP for the commands that print K
+SEVENTEEN_TANKS = "k0=1; " + "; ".join(
+    f"tank=1,{1 + 0.5 * i}" for i in range(17))
+
+
 def assert_usage_error(proc, name):
     """Exit 2 with one stderr line that names `name`, no traceback."""
     assert proc.returncode == 2
@@ -299,14 +304,23 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("foster, name", [
         ("k0=1; tank=1,1; tank=1,1.0000000001", "lossless"),
-        ("k0=1; " + "; ".join(f"tank=1,{1 + 0.5 * i}" for i in range(17)),
-         "degree"),
+        (SEVENTEEN_TANKS, "degree"),
     ], ids=["coincident-tanks", "17-tanks"])
     def test_uncouplable_load_exits_two_without_traceback(self, tmp_path,
                                                           foster, name):
         proc = python(["-m", "wavebath.cli", "couple", "--foster", foster,
                        "--out", str(tmp_path / "run")])
         assert_usage_error(proc, name)
+
+    @pytest.mark.parametrize("command", ["line-sim", "string-sim"])
+    def test_large_load_runs_on_the_line(self, tmp_path, command):
+        out = tmp_path / "run"
+        proc = python(["-m", "wavebath.cli", command, "--foster",
+                       SEVENTEEN_TANKS, "--x-max", "6", "--t-max", "5",
+                       "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(check["pass"] for check in summary["checks"].values())
 
     @pytest.mark.parametrize("argv, name", [
         (["line-sim", "--t-max", "nan"], "t_max"),

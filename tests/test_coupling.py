@@ -10,6 +10,9 @@ the implementation.
 import numpy as np
 import pytest
 
+import wavebath.coupling
+import wavebath.ratfun
+import wavebath.realization
 from wavebath.coupling import (
     CoupledModelPair,
     InvalidLoadError,
@@ -29,6 +32,7 @@ from wavebath.coupling import (
     spectrum_to_bath,
 )
 from wavebath.ratfun import (
+    DegreeCapError,
     Polynomial,
     RationalFunction,
     is_inner,
@@ -51,6 +55,33 @@ CAP_TANK = foster_realize(FosterSpec(k0=1.0, tanks=((0.5, 1.0),)))
 
 K_CAP = RationalFunction([1.0, -1.0], [1.0, 1.0])
 K_TANK = RationalFunction([-1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
+
+
+def ceiling_family(seed, n_tanks, count=20):
+    """The load-size family of ROADMAP item 2: k0 and residues from
+    U(0.2, 2), the first tank at U(0.6, 1.0), tank gaps 0.3 + U(0, 0.4)."""
+    rng = np.random.default_rng(seed)
+    loads = []
+    for _ in range(count):
+        k0 = float(rng.uniform(0.2, 2.0))
+        w = float(rng.uniform(0.6, 1.0))
+        tanks = []
+        for _ in range(n_tanks):
+            tanks.append((float(rng.uniform(0.2, 2.0)), w))
+            w += 0.3 + float(rng.uniform(0.0, 0.4))
+        loads.append(foster_realize(FosterSpec(k0, tuple(tanks))))
+    return loads
+
+
+def identity_residuals(pair):
+    """(|Gamma_bar + Gamma^T|, |Gamma + Gamma^T + g g^T / 2|) over the
+    matrix scale."""
+    g, gb, gain = pair.gamma, pair.gamma_bar, pair.input_gain
+    half_ggt = 0.5 * np.outer(gain, gain)
+    scale = max(np.max(np.abs(g)), np.max(np.abs(gb)),
+                np.max(np.abs(half_ggt)))
+    return (np.max(np.abs(gb + g.T)) / scale,
+            np.max(np.abs(g + g.T + half_ggt)) / scale)
 
 
 class TestCloseLoops:
@@ -98,12 +129,118 @@ class TestCloseLoops:
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
             CoupledModelPair(
-                np.array([[1.0]]), np.array([[-1.0]]), np.array([2.0]), K_CAP
+                np.array([[1.0]]), np.array([[-1.0]]), np.array([2.0])
             )
         with pytest.raises(ValueError):
             CoupledModelPair(
-                np.array([[-1.0]]), np.array([[2.0]]), np.array([2.0]), K_CAP
+                np.array([[-1.0]]), np.array([[2.0]]), np.array([2.0])
             )
+        # a stable mirror pair whose gain does not match its damping
+        with pytest.raises(ValueError):
+            CoupledModelPair(
+                np.array([[-1.0]]), np.array([[1.0]]), np.array([3.0])
+            )
+        # the identities hold to 1e-12 of the scale, not to 1e-9
+        with pytest.raises(ValueError):
+            CoupledModelPair(
+                np.array([[-1.0]]), np.array([[1.0 + 1e-9]]), np.array([2.0])
+            )
+        # both identities hold, but the pole -1e-10 is inside the margin
+        with pytest.raises(ValueError, match="lossless-minimal"):
+            CoupledModelPair(
+                np.array([[-1e-10]]), np.array([[1e-10]]), np.array([2e-5])
+            )
+
+
+class TestIdentityCertificate:
+    @pytest.mark.parametrize("n_tanks", [6, 8, 12, 20],
+                             ids=["dim13", "dim17", "dim25", "dim41"])
+    def test_ceiling_family_couples(self, n_tanks):
+        for load in ceiling_family(7, n_tanks):
+            assert load.dim == 2 * n_tanks + 1
+            pair = close_loops(load)
+            assert max(identity_residuals(pair)) <= 1e-12
+            if load.dim <= 13:
+                K_z = scattering_K(transfer_function(load.ss))
+                assert pair.K.close_to(K_z, tol=1e-12)
+
+    def test_matrices_are_the_feedback_forms(self):
+        for load in (CAP, TANK, CAP_TANK, *ceiling_family(3, 4, count=5)):
+            A, b, c = load.ss.A, load.ss.b, load.ss.c
+            pair = close_loops(load)
+            assert np.array_equal(pair.gamma, A - np.outer(b, c))
+            assert np.array_equal(pair.gamma_bar, A + np.outer(b, c))
+            assert np.array_equal(pair.input_gain, 2.0 * b)
+
+    def test_coupling_path_runs_no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle called on the coupling path")
+
+        for module, name in [
+            (wavebath.coupling, "transfer_function"),
+            (wavebath.coupling, "scattering_K_statespace"),
+            (wavebath.coupling, "is_inner"),
+            (wavebath.ratfun, "is_inner"),
+            (wavebath.realization, "transfer_function"),
+            (wavebath.realization, "verify_lossless_certificate"),
+            (wavebath.realization, "_pbh_margin"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        eig_calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals",
+            lambda M: eig_calls.append(M.shape) or eigvals(M))
+        for spec in (FosterSpec(k0=1.0),
+                     FosterSpec(k0=0.5, tanks=((1.0, 2.0), (0.3, 3.1)))):
+            load = foster_realize(spec)
+            eig_calls.clear()
+            pair = close_loops(load)
+            # the poles are the one eigendecomposition; no spectrum is
+            # computed a second time to be matched against the first
+            assert eig_calls == [pair.gamma.shape]
+            assert mirror_residual(pair) == 0.0
+
+    def test_mirror_residual_is_the_identity_residual(self):
+        pair = close_loops(CAP_TANK)
+        gamma_bar = pair.gamma_bar.copy()
+        gamma_bar[0, 1] += 3e-14
+        nudged = CoupledModelPair(pair.gamma, gamma_bar, pair.input_gain)
+        assert mirror_residual(nudged) == float(
+            np.max(np.abs(gamma_bar + pair.gamma.T)))
+        assert mirror_residual(nudged) > 0.0
+
+    def test_other_energy_metric_refused(self):
+        # a load certified in Omega = 2 coordinates (A = 0, Omega b = c),
+        # and the capacitor's matrices under a metric they do not satisfy
+        for load in (
+            LosslessRealization(StateSpace([[0.0]], [1.0], [2.0]),
+                                2.0 * np.eye(1)),
+            LosslessRealization(CAP.ss, 2.0 * np.eye(1), validate=False),
+        ):
+            with pytest.raises(InvalidLoadError, match="Omega = I"):
+                close_loops(load)
+
+    def test_non_minimal_load_refused_in_one_line(self):
+        load = foster_realize(
+            FosterSpec.from_text("k0=1; tank=1,1; tank=1,1.0000000001"))
+        with pytest.raises(InvalidLoadError, match="lossless-minimal") as err:
+            close_loops(load)
+        assert "\n" not in str(err.value)
+
+    def test_coefficients_are_expanded_on_demand(self):
+        pair = close_loops(ceiling_family(11, 20, count=1)[0])
+        assert pair.poles.shape == (41,)
+        with pytest.raises(DegreeCapError):
+            pair.K
+        small = close_loops(CAP_TANK)
+        assert small.K is small.K
+        assert is_inner(small.K)
+        assert small.K.at_infinity() == -1.0
+        # the paraconjugate numerator: |num| and |den| agree coefficientwise
+        assert np.array_equal(np.abs(small.K.num.coeffs),
+                              np.abs(small.K.den.coeffs))
 
 
 class TestScatteringK:

@@ -471,6 +471,23 @@ class TestReducedModels:
         assert np.array_equal(fwd, trace.xi)
         assert np.max(np.abs(bwd - trace.xi)) < 1e-9 * scale
 
+    def test_dimension_41_load_round_trip(self):
+        # 20 tanks: past DEGREE_CAP, so this runs only because nothing on
+        # the coupling or line path expands a polynomial
+        load = foster_realize(
+            FosterSpec(1.0, tuple((1.0, 1.0 + 0.5 * i) for i in range(20))))
+        cfg = LineConfig(dx=1e-3, x_max=11.0, t_max=20.0, load=load)
+        pair = close_loops(load)
+        obs = Observable.build(load, load.ss.c, 0.0)
+        _, trace = run_line(cfg, bump_field(11.0, 1e-3), obs=obs)
+        fwd, _ = reduced_forward(pair, obs, trace.w, np.zeros(41), cfg.dt)
+        bwd, _ = reduced_backward(pair, obs, trace.w_bar, trace.xi[-1],
+                                  cfg.dt)
+        assert load.dim == 41 and cfg.n_steps >= 20_000
+        assert energy_drift(trace) <= 1e-9
+        assert np.max(np.abs(fwd - trace.xi)) <= 1e-6
+        assert np.max(np.abs(bwd - trace.xi)) <= 1e-6
+
     def test_rejects_empty_series(self):
         pair = close_loops(TANK)
         obs = Observable.build(TANK, TANK.ss.c, 0.0)
