@@ -18,9 +18,18 @@ foster_realize builds (Omega = I, A skew, b0 = c0^T) the certificate
 is two identities, Gamma_bar = -Gamma^T and Gamma + Gamma^T =
 -2 b0 b0^T, so the spectra mirror and Gamma is stable once the load is
 minimal; the coupled pair checks just these and the pole margin.
-scattering_K (from the impedance) and scattering_K_statespace (a
-resolvent quotient, whose raw value is -K since the backward drive
-enters with the opposite orientation) are kept as coefficient oracles.
+
+The observable transfers come from the same algebra: their
+denominators are det(sI - Gamma), expanded from the poles, and
+det(sI - Gamma_bar) = (-1)^n det(-sI - Gamma); their numerators follow
+from the matrix-determinant lemma, h adj(sI - Gamma) g =
+det(sI - Gamma + g h^T) - det(sI - Gamma), one eigendecomposition per
+side. A pole the observable cannot see is cancelled by evaluating the
+numerator on it, so no Leverrier expansion and no numerator root
+finding is run. scattering_K (from the impedance) and
+scattering_K_statespace (a Leverrier resolvent quotient, whose raw
+value is -K since the backward drive enters with the opposite
+orientation) are kept as coefficient oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ratfun import (SNAP_TOL, Polynomial, RationalFunction, is_inner,
-                     is_lossless_pr, spectral_factor)
+from .ratfun import (SNAP_TOL, Polynomial, RationalFunction,
+                     cancel_known_roots, is_inner, is_lossless_pr,
+                     spectral_factor)
 from .realization import (
     ImproperImpedanceError,
     LosslessRealization,
@@ -219,15 +229,47 @@ def observable_transfers(pair: CoupledModelPair, obs: Observable):
     Wbar(s) = -2 [h_bar (sI - Gamma_bar)^{-1} b0 + d]. The quotient
     Wbar^{-1} W is the scattering function for every nontrivial
     observable — the reflection map does not depend on what you watch.
+
+    Both come from the pair's own algebra, with g = 2 b0 = input_gain.
+    The denominators are D = pair.K.den and Dbar(s) = (-1)^n D(-s),
+    exact because Gamma_bar = -Gamma^T. The numerators follow from the
+    matrix-determinant lemma, h adj(sI - Gamma) g =
+    det(sI - Gamma + g h^T) - D(s), one eigendecomposition per side;
+    the backward side is computed on its own from Gamma_bar and h_bar.
+    A pole is cancelled when the numerator vanishes on it to first
+    order (ratfun.cancel_known_roots); no root of a numerator is
+    computed.
     """
     if np.all(obs.h == 0.0) and obs.d == 0.0:
         raise TrivialObservableError("transfer pair undefined for y = 0")
-    b0 = pair.input_gain / 2.0
-    W = transfer_function(StateSpace(pair.gamma, 2.0 * b0, obs.h, 2.0 * obs.d))
-    Wb = transfer_function(
-        StateSpace(pair.gamma_bar, 2.0 * b0, obs.h_bar, 2.0 * obs.d)
-    )
+    gain = pair.input_gain
+    den = pair.K.den
+    den_bar = den.reflected().scaled(-1.0 if pair.dim % 2 else 1.0)
+    W = _port_transfer(pair.gamma, gain, obs.h, obs.d, den, pair.poles)
+    Wb = _port_transfer(pair.gamma_bar, gain, obs.h_bar, obs.d, den_bar,
+                        -pair.poles)
     return W, -Wb
+
+
+def _adjugate_numerator(gamma, gain, h, den):
+    """h adj(sI - gamma) gain, given den = det(sI - gamma).
+
+    Matrix-determinant lemma: det(sI - gamma + gain h^T) =
+    den(s) (1 + h (sI - gamma)^{-1} gain). The difference is trimmed
+    at 1e-13 of its largest coefficient, as a Leverrier numerator is.
+    """
+    shifted = Polynomial.from_roots(
+        np.linalg.eigvals(gamma - np.outer(gain, h)))
+    return Polynomial(shifted.coeffs - den.coeffs, rel_tol=1e-13)
+
+
+def _port_transfer(gamma, gain, h, d, den, poles):
+    """(h adj(sI - gamma) gain + 2 d den) / den, reduced over poles
+    (the roots of den)."""
+    num = _adjugate_numerator(gamma, gain, h, den)
+    if d != 0.0:
+        num = num + den.scaled(2.0 * d)
+    return RationalFunction(*cancel_known_roots(num, den, poles), reduce=False)
 
 
 def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
@@ -327,12 +369,9 @@ def match_observable_to_factor(load: LosslessRealization,
             "target denominator is not the forward characteristic polynomial"
         )
     cols = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        tf = transfer_function(StateSpace(pair.gamma, 2.0 * b0, e, 0.0),
-                               reduce=False)
-        cols[: tf.num.coeffs.size, i] = tf.num.coeffs
+    for i, e in enumerate(np.eye(n)):
+        num = _adjugate_numerator(pair.gamma, 2.0 * b0, e, pair.K.den)
+        cols[: num.coeffs.size, i] = num.coeffs
     target = np.zeros(n)
     target[: W_target.num.coeffs.size] = W_target.num.coeffs
     c, res, rank, _ = np.linalg.lstsq(cols, target, rcond=None)

@@ -47,17 +47,16 @@ class SpectralFactorError(ValueError):
 
 def _trim(coeffs, rel_tol=0.0):
     """Drop high-order coefficients at/below rel_tol * max|coeff|."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    c = np.array(coeffs, dtype=float, ndmin=1)
     if c.ndim != 1:
         raise ValueError("coefficient array must be one-dimensional")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("polynomial coefficients must be finite")
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    cutoff = rel_tol * scale
+    cutoff = rel_tol * np.abs(c).max() if rel_tol and c.size else 0.0
     last = c.size
     while last > 0 and abs(c[last - 1]) <= cutoff:
         last -= 1
-    return c[:last].copy()
+    return c[:last]
 
 
 class Polynomial:
@@ -74,8 +73,6 @@ class Polynomial:
         c = _trim(coeffs, rel_tol)
         if c.size == 0:
             c = np.zeros(1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("polynomial coefficients must be finite")
         if c.size - 1 > DEGREE_CAP:
             raise DegreeCapError(
                 f"degree {c.size - 1} exceeds cap {DEGREE_CAP}"
@@ -110,12 +107,12 @@ class Polynomial:
         vector stays exactly real.
         """
         reals, pairs = _split_conjugate(np.asarray(roots, dtype=complex))
-        p = cls([float(leading)])
+        c = np.array([float(leading)])
         for r in reals:
-            p = p * cls([-r, 1.0])
+            c = np.convolve(c, [-r, 1.0])
         for z in pairs:
-            p = p * cls([abs(z) ** 2, -2.0 * z.real, 1.0])
-        return p
+            c = np.convolve(c, [abs(z) ** 2, -2.0 * z.real, 1.0])
+        return cls(c)
 
     # -- structure ---------------------------------------------------
 
@@ -213,10 +210,11 @@ class Polynomial:
             return np.array([], dtype=complex)
         r = np.roots(self.coeffs[::-1])
         reals, pairs = _split_conjugate(r)
-        out = list(map(complex, reals))
-        for z in pairs:
-            out.extend([z, z.conjugate()])
-        return np.array(sorted(out, key=lambda w: (w.real, w.imag)))
+        upper = np.array(pairs, dtype=complex)
+        out = np.concatenate(
+            [reals.astype(complex),
+             np.stack([upper, upper.conj()], axis=1).reshape(-1)])
+        return out[np.lexsort((out.imag, out.real))]  # stable sort
 
     def max_abs_coeff(self):
         return float(np.max(np.abs(self.coeffs)))
@@ -234,24 +232,28 @@ def _split_conjugate(roots, tol=1e-6):
     """Split a root set into (real_roots, upper_half_pairs).
 
     Roots with small imaginary part (relative tol against magnitude)
-    are treated as real. The remaining ones are greedily matched with
-    their conjugates; unmatched leftovers are forced real, which only
-    happens for badly perturbed inputs.
+    are treated as real. When the upper half-plane roots are exactly
+    the conjugates of the lower ones (as LAPACK returns the eigenvalues
+    of a real matrix) they are the pairs as they stand. Otherwise the
+    upper ones are greedily matched with their conjugates; unmatched
+    leftovers are forced real, which only happens for badly perturbed
+    inputs.
     """
-    roots = np.asarray(roots, dtype=complex)
-    reals = []
-    complexes = []
-    for r in roots:
-        if abs(r.imag) <= tol * (1.0 + abs(r)):
-            reals.append(r.real)
-        else:
-            complexes.append(r)
-    upper = sorted(
-        [z for z in complexes if z.imag > 0], key=lambda w: (w.real, w.imag)
-    )
-    lower = [z for z in complexes if z.imag < 0]
+    roots = np.asarray(roots, dtype=complex).reshape(-1)
+    is_real = np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))
+    upper = roots[~is_real & (roots.imag > 0)]
+    upper = upper[np.lexsort((upper.imag, upper.real))]
+    lower = roots[~is_real & (roots.imag < 0)]
+    reals = roots.real[is_real]
+    if upper.size == lower.size:
+        mirrored = lower.conj()
+        mirrored = mirrored[np.lexsort((mirrored.imag, mirrored.real))]
+        if np.array_equal(upper, mirrored):
+            return reals, upper.tolist()
+    reals = reals.tolist()
+    lower = lower.tolist()
     pairs = []
-    for z in upper:
+    for z in upper.tolist():
         if not lower:
             reals.append(z.real)
             continue
@@ -303,7 +305,13 @@ def _cancel_common(num, den):
             matched.append((r + dr.pop(j)) / 2)
     if not matched:
         return num, den
-    reals, pairs = _split_conjugate(np.array(matched))
+    return _deflate_both(num, den, np.array(matched))
+
+
+def _deflate_both(num, den, roots):
+    """Divide num and den by the real factors of a root set, paired by
+    _split_conjugate (conjugate pairs as real quadratics)."""
+    reals, pairs = _split_conjugate(roots)
     for r in reals:
         num = _deflate_real(num, r)
         den = _deflate_real(den, r)
@@ -311,6 +319,23 @@ def _cancel_common(num, den):
         num = _deflate_pair(num, z)
         den = _deflate_pair(den, z)
     return num, den
+
+
+def cancel_known_roots(num, den, roots):
+    """Deflate from num and den the given roots of den that num shares.
+
+    A root r counts as shared when num vanishes there to first order,
+    |num(r)| <= MATCH_TOL (1 + |r|) |num'(r)|: the Newton estimate of
+    the distance to num's nearest root, on the scale root matching
+    uses. The roots must be closed under conjugation; no root of num
+    is computed.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    slope = np.abs(num.derivative()(roots))
+    shared = np.abs(num(roots)) <= MATCH_TOL * (1.0 + np.abs(roots)) * slope
+    if not shared.any():
+        return num, den
+    return _deflate_both(num, den, roots[shared])
 
 
 class RationalFunction:
@@ -333,8 +358,9 @@ class RationalFunction:
         elif reduce:
             num, den = _cancel_common(num, den)
         lead = den.leading
-        num = num.scaled(1.0 / lead)
-        den = den.scaled(1.0 / lead)
+        if lead != 1.0:
+            num = num.scaled(1.0 / lead)
+            den = den.scaled(1.0 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -363,14 +389,14 @@ class RationalFunction:
     def evaluate(self, s):
         """Evaluate R(s); raises PoleEvaluationError on top of a pole.
 
-        The pole guard is relative: |den(s)| is compared against the
-        denominator's coefficient scale grown by (1+|s|)^deg, so the
-        check behaves the same for impedances normalized differently.
+        The pole guard is relative: |den(s)| is compared against
+        sum_k |c_k| |s|^k, the scale of the rounding error Horner's rule
+        can make in it, so the check behaves the same for impedances
+        normalized differently and does not grow faster than den itself.
         """
         s_arr = np.asarray(s)
         dv = self.den(s_arr)
-        deg = self.den.degree or 0
-        scale = self.den.max_abs_coeff() * (1.0 + np.abs(s_arr)) ** deg
+        scale = Polynomial(np.abs(self.den.coeffs))(np.abs(s_arr))
         if np.any(np.abs(dv) <= 1e-12 * scale):
             raise PoleEvaluationError(f"evaluation at/near a pole (s={s!r})")
         return self.num(s_arr) / dv

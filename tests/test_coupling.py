@@ -7,6 +7,8 @@ K = -(s^2-s+1)/(s^2+s+1). All were derived by scalar algebra before
 the implementation.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,11 +59,11 @@ K_CAP = RationalFunction([1.0, -1.0], [1.0, 1.0])
 K_TANK = RationalFunction([-1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
 
 
-def ceiling_family(seed, n_tanks, count=20):
+def ceiling_specs(seed, n_tanks, count=20):
     """The load-size family of ROADMAP item 2: k0 and residues from
     U(0.2, 2), the first tank at U(0.6, 1.0), tank gaps 0.3 + U(0, 0.4)."""
     rng = np.random.default_rng(seed)
-    loads = []
+    specs = []
     for _ in range(count):
         k0 = float(rng.uniform(0.2, 2.0))
         w = float(rng.uniform(0.6, 1.0))
@@ -69,8 +71,47 @@ def ceiling_family(seed, n_tanks, count=20):
         for _ in range(n_tanks):
             tanks.append((float(rng.uniform(0.2, 2.0)), w))
             w += 0.3 + float(rng.uniform(0.0, 0.4))
-        loads.append(foster_realize(FosterSpec(k0, tuple(tanks))))
-    return loads
+        specs.append(FosterSpec(k0, tuple(tanks)))
+    return specs
+
+
+def ceiling_family(seed, n_tanks, count=20):
+    """The realized loads of ceiling_specs."""
+    return [foster_realize(spec)
+            for spec in ceiling_specs(seed, n_tanks, count)]
+
+
+def exact_leverrier(A, b, c):
+    """Numerator and denominator coefficients (lowest degree first) of
+    c (sI - A)^{-1} b by the Leverrier iteration in exact rational
+    arithmetic on the float entries, rounded once at the end."""
+    n = len(b)
+    A = [[Fraction(x) for x in row] for row in A.tolist()]
+    b = [Fraction(x) for x in b.tolist()]
+    c = [Fraction(x) for x in c.tolist()]
+    B = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    num, den = [], [Fraction(1)]
+    for k in range(1, n + 1):
+        num.append(sum(c[i] * sum(B[i][j] * b[j] for j in range(n))
+                       for i in range(n)))
+        AB = [[sum(A[i][m] * B[m][j] for m in range(n)) for j in range(n)]
+              for i in range(n)]
+        a = -sum(AB[i][i] for i in range(n)) / k
+        den.append(a)
+        B = [[AB[i][j] + (a if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    return (np.array([float(x) for x in num[::-1]]),
+            np.array([float(x) for x in den[::-1]]))
+
+
+def blind_row(pair, seed=0):
+    """A random state row orthogonal to the eigenvector of the forward
+    pole with the largest imaginary part: blind to that tank's mode."""
+    lam, V = np.linalg.eig(pair.gamma)
+    v = V[:, int(np.argmax(lam.imag))]
+    Q = np.linalg.qr(np.vstack([v.real, v.imag]).T)[0]
+    r = np.random.default_rng(seed).normal(size=pair.dim)
+    return r - Q @ (Q.T @ r)
 
 
 def identity_residuals(pair):
@@ -327,7 +368,7 @@ class TestObservableTransfers:
 
     def test_wave_passthrough_observable(self):
         # y = v0 + i0 equals twice the incoming wave: flat forward gain
-        for load in (CAP, TANK, CAP_TANK):
+        for load in (CAP, TANK, CAP_TANK, *ceiling_family(7, 6, count=2)):
             pair = close_loops(load)
             obs = Observable.build(load, load.ss.c, 1.0)
             W, Wbar = observable_transfers(pair, obs)
@@ -344,6 +385,101 @@ class TestObservableTransfers:
                 obs = Observable.build(load, c, d)
                 W, Wbar = observable_transfers(pair, obs)
                 assert (W / Wbar).close_to(pair.K, tol=1e-8)
+
+    def test_matches_leverrier_oracle(self):
+        # the float Leverrier oracle itself drifts to ~1e-9 at dimension
+        # 9, so it is compared up to dimension 7; the exact-arithmetic
+        # oracle below takes the larger loads
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            load = foster_realize(random_foster(rng, max_tanks=3))
+            pair = close_loops(load)
+            for _ in range(3):
+                obs = Observable.build(load, rng.normal(size=load.dim),
+                                       float(rng.normal()))
+                W, Wbar = observable_transfers(pair, obs)
+                want = transfer_function(StateSpace(
+                    pair.gamma, pair.input_gain, obs.h, 2.0 * obs.d))
+                want_bar = -transfer_function(StateSpace(
+                    pair.gamma_bar, pair.input_gain, obs.h_bar, 2.0 * obs.d))
+                for got, ref in ((W, want), (Wbar, want_bar)):
+                    assert got.num.degree == ref.num.degree
+                    assert got.den.degree == ref.den.degree
+                    assert got.close_to(ref, tol=1e-10)
+
+    @pytest.mark.parametrize("n_tanks", [4, 5, 6],
+                             ids=["dim9", "dim11", "dim13"])
+    def test_matches_exact_arithmetic_oracle(self, n_tanks):
+        load = ceiling_family(7, n_tanks, count=1)[0]
+        pair = close_loops(load)
+        rng = np.random.default_rng(n_tanks)
+        obs = Observable.build(load, rng.normal(size=load.dim), 0.0)
+        W, Wbar = observable_transfers(pair, obs)
+        for got, gamma, h, sign in ((W, pair.gamma, obs.h, 1.0),
+                                    (Wbar, pair.gamma_bar, obs.h_bar, -1.0)):
+            num, den = exact_leverrier(gamma, pair.input_gain, h)
+            scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
+            assert got.num.coeffs.size == num.size
+            assert np.max(np.abs(got.num.coeffs - sign * num)) <= 1e-12 * scale
+            assert np.max(np.abs(got.den.coeffs - den)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_tanks", [5, 6, 8, 12],
+                             ids=["dim11", "dim13", "dim17", "dim25"])
+    def test_quotient_is_K_past_the_leverrier_ceiling(self, n_tanks):
+        rng = np.random.default_rng(n_tanks)
+        for load in ceiling_family(7, n_tanks, count=5):
+            pair = close_loops(load)
+            for _ in range(4):
+                obs = Observable.build(load, rng.normal(size=load.dim),
+                                       float(rng.normal()))
+                W, Wbar = observable_transfers(pair, obs)
+                quotient = W / Wbar
+                assert quotient.num.degree == pair.K.num.degree
+                assert quotient.den.degree == pair.K.den.degree
+                assert quotient.close_to(pair.K, tol=1e-8)
+
+    def test_blind_observable_reduces_like_root_matching(self):
+        for load in (CAP_TANK, *ceiling_family(3, 3, count=3),
+                     *ceiling_family(3, 6, count=1)):
+            pair = close_loops(load)
+            obs = Observable.build(load, blind_row(pair), 0.0)
+            W, Wbar = observable_transfers(pair, obs)
+            want = transfer_function(
+                StateSpace(pair.gamma, pair.input_gain, obs.h, 0.0))
+            want_bar = transfer_function(
+                StateSpace(pair.gamma_bar, pair.input_gain, obs.h_bar, 0.0))
+            assert W.den.degree == want.den.degree == load.dim - 2
+            assert W.num.degree == want.num.degree
+            assert Wbar.den.degree == want_bar.den.degree
+            assert Wbar.num.degree == want_bar.num.degree
+            assert (W / Wbar).close_to(pair.K, tol=1e-8)
+
+    def test_transfers_run_no_leverrier_and_no_root_finding(self,
+                                                             monkeypatch):
+        load = ceiling_family(7, 6, count=1)[0]
+        pair = close_loops(load)
+        obs = Observable.build(
+            load, np.random.default_rng(13).normal(size=load.dim), 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slow route called by observable_transfers")
+
+        for module, name in [
+            (wavebath.coupling, "transfer_function"),
+            (wavebath.realization, "transfer_function"),
+            (wavebath.ratfun, "_cancel_common"),
+            (np, "roots"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        eig_calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals",
+            lambda M: eig_calls.append(M.shape) or eigvals(M))
+        W, Wbar = observable_transfers(pair, obs)
+        # one eigendecomposition per side, none for the known poles
+        assert eig_calls == [(13, 13), (13, 13)]
+        assert W.den.degree == Wbar.den.degree == 13
 
     def test_rows_satisfy_sum_rule(self):
         obs = Observable.build(TANK, [0.3, -1.2], 0.7)
@@ -449,6 +585,28 @@ class TestSynthesis:
         spec = FosterSpec(k0=1.0, tanks=((0.5, 1.0),))
         Phi = constant_numerator_spectrum(spec)
         chain = run_synthesis(Phi)
+        obs = match_observable_to_factor(chain.load, chain.pair, chain.W)
+        W, _ = observable_transfers(chain.pair, obs)
+        for w in np.logspace(-2, 2, 50):
+            got = abs(W.evaluate(1j * w)) ** 2
+            want = Phi.evaluate(1j * w).real
+            assert got == pytest.approx(want, rel=1e-6)
+
+
+    @pytest.mark.parametrize("n_tanks", [5, 6], ids=["dim11", "dim13"])
+    def test_ceiling_family_round_trip(self, n_tanks):
+        # the spectra have degree 22 and 26: a pole guard scaled by
+        # (1 + |s|)^deg refused spectral_factor's axis probes here
+        for spec in ceiling_specs(7, n_tanks):
+            chain = run_synthesis(constant_numerator_spectrum(spec))
+            assert chain.impedance.close_to(foster_to_rational(spec),
+                                            tol=1e-7)
+
+    def test_matched_observable_at_dimension_nine(self):
+        spec = ceiling_specs(7, 4, count=1)[0]
+        Phi = constant_numerator_spectrum(spec)
+        chain = run_synthesis(Phi)
+        assert chain.load.dim == 9
         obs = match_observable_to_factor(chain.load, chain.pair, chain.W)
         W, _ = observable_transfers(chain.pair, obs)
         for w in np.logspace(-2, 2, 50):

@@ -18,12 +18,88 @@ from wavebath.ratfun import (
     SpectralFactorError,
     is_inner,
     is_lossless_pr,
+    _split_conjugate,
     spectral_factor,
 )
 
 
 def rat(num, den):
     return RationalFunction(num, den)
+
+
+# -- loop references for the vectorized root kernels ----------------------
+
+
+def split_conjugate_loop(roots, tol=1e-6):
+    """Reference: the greedy conjugate matcher, one root at a time."""
+    roots = np.asarray(roots, dtype=complex)
+    reals = []
+    complexes = []
+    for r in roots:
+        if abs(r.imag) <= tol * (1.0 + abs(r)):
+            reals.append(r.real)
+        else:
+            complexes.append(r)
+    upper = sorted(
+        [z for z in complexes if z.imag > 0], key=lambda w: (w.real, w.imag)
+    )
+    lower = [z for z in complexes if z.imag < 0]
+    pairs = []
+    for z in upper:
+        if not lower:
+            reals.append(z.real)
+            continue
+        j = int(np.argmin([abs(z - w.conjugate()) for w in lower]))
+        w = lower.pop(j)
+        pairs.append(complex((z.real + w.real) / 2, (z.imag - w.imag) / 2))
+    for w in lower:
+        reals.append(w.real)
+    return np.array(reals, dtype=float), pairs
+
+
+def from_roots_loop(roots, leading=1.0):
+    """Reference: one Polynomial product per real factor or pair."""
+    reals, pairs = split_conjugate_loop(np.asarray(roots, dtype=complex))
+    p = Polynomial([float(leading)])
+    for r in reals:
+        p = p * Polynomial([-r, 1.0])
+    for z in pairs:
+        p = p * Polynomial([abs(z) ** 2, -2.0 * z.real, 1.0])
+    return p
+
+
+def roots_loop(p):
+    """Reference: np.roots, the loop matcher and a sorted list."""
+    if p.degree == 0:
+        return np.array([], dtype=complex)
+    reals, pairs = split_conjugate_loop(np.roots(p.coeffs[::-1]))
+    out = list(map(complex, reals))
+    for z in pairs:
+        out.extend([z, z.conjugate()])
+    return np.array(sorted(out, key=lambda w: (w.real, w.imag)))
+
+
+def root_sets():
+    """Named root sets: real, exact pairs, duplicates, empty, inexact."""
+    rng = np.random.default_rng(2025)
+    sets = {"empty": np.array([], dtype=complex)}
+    for k in range(5):
+        sets[f"real{k}"] = rng.normal(size=k + 1) * 3.0
+        ev = np.linalg.eigvals(rng.normal(size=(9 + k, 9 + k)))
+        sets[f"eig{k}"] = ev  # LAPACK's exact conjugate pairs
+        z = rng.normal(size=k + 1) + 1j * rng.uniform(0.1, 2.0, size=k + 1)
+        sets[f"pairs{k}"] = rng.permutation(np.concatenate([z, z.conj()]))
+        sets[f"dup{k}"] = np.concatenate([ev, ev[: k + 2], [1.5, 1.5]])
+        inexact = np.concatenate([z, z.conj() * (1.0 + 1e-12 * (k + 1))])
+        sets[f"inexact{k}"] = rng.permutation(inexact)
+        sets[f"unmatched{k}"] = np.concatenate([z, z[:k].conj(), [-0.5]])
+    return sets
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 class TestPolynomial:
@@ -93,6 +169,33 @@ class TestPolynomial:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+class TestRootKernelsBitwise:
+    @pytest.mark.parametrize("name", sorted(root_sets()))
+    def test_split_conjugate(self, name):
+        roots = root_sets()[name]
+        reals, pairs = _split_conjugate(roots)
+        want_reals, want_pairs = split_conjugate_loop(roots)
+        assert same_bits(reals, want_reals)
+        assert all(type(z) is complex for z in pairs)
+        assert same_bits(np.array(pairs, dtype=complex),
+                         np.array(want_pairs, dtype=complex))
+
+    @pytest.mark.parametrize("name", sorted(root_sets()))
+    def test_from_roots(self, name):
+        roots = root_sets()[name]
+        for leading in (1.0, -2.5):
+            got = Polynomial.from_roots(roots, leading=leading)
+            want = from_roots_loop(roots, leading)
+            assert same_bits(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("name", sorted(root_sets()))
+    def test_roots(self, name):
+        p = from_roots_loop(root_sets()[name], leading=1.5)
+        assert same_bits(p.roots(), roots_loop(p))
+        q = Polynomial(np.random.default_rng(len(name)).normal(size=8))
+        assert same_bits(q.roots(), roots_loop(q))
+
+
 class TestRationalFunction:
     def test_reduction_cancels_common_factor(self):
         # (s+1)(s+2) / (s+1)(s+3) -> (s+2)/(s+3)
@@ -122,6 +225,24 @@ class TestRationalFunction:
         R = rat([1.0], [0.0, 1.0])  # 1/s
         with pytest.raises(PoleEvaluationError):
             R.evaluate(0.0)
+
+    def test_evaluate_exactly_at_a_root_raises(self):
+        roots = [1.0, 2.0, 3.0, -4.0, 5.0]  # integer Horner: den(r) == 0
+        R = RationalFunction(Polynomial.one(), Polynomial.from_roots(roots))
+        for r in roots:
+            with pytest.raises(PoleEvaluationError):
+                R.evaluate(r)
+
+    def test_evaluate_near_axis_poles_at_high_degree(self):
+        # eleven pole pairs 0.025 off the axis; s = 2.83j is 0.03 from
+        # the nearest one, which a guard growing as (1 + |s|)^22 refused
+        poles = [complex(-0.025, 0.5 * k) for k in range(1, 12)]
+        poles += [p.conjugate() for p in poles]
+        R = RationalFunction(Polynomial.one(), Polynomial.from_roots(poles),
+                             reduce=False)
+        s = 2.83j
+        want = 1.0 / np.prod([s - p for p in poles])
+        assert R.evaluate(s) == pytest.approx(want, rel=1e-10)
 
     def test_field_arithmetic(self):
         Z = rat([1.0], [0.0, 1.0])  # 1/s
