@@ -373,7 +373,7 @@ def _run_wave_sim(params, seed, out_dir, convention):
     }
     window = _parse_window(params["window"])
     if window is not None:
-        expected = float(np.max(np.linalg.eigvals(pair.gamma).real))
+        expected = float(np.max(pair.poles.real))
         try:
             rate = waveline.decay_rate_probe(trace, window)
         except (waveline.ContaminatedWindowError,

@@ -186,7 +186,8 @@ def close_loops(load: LosslessRealization) -> CoupledModelPair:
 
 
 def scattering_K(Z0: RationalFunction, validate=True) -> RationalFunction:
-    """Reflection coefficient K = (Z0 - 1)/(Z0 + 1) of a lossless load.
+    """Reflection coefficient K = (Z0 - 1)/(Z0 + 1) = (N - D)/(N + D)
+    of a lossless load Z0 = N/D.
 
     With validate=True (the default) Z0 must be a strictly proper
     lossless impedance, which guarantees K inner with K(inf) = -1.
@@ -200,8 +201,7 @@ def scattering_K(Z0: RationalFunction, validate=True) -> RationalFunction:
             raise ValueError("impedance must be strictly proper")
         if not is_lossless_pr(Z0):
             raise ValueError("impedance is not lossless positive-real")
-    one = RationalFunction.constant(1.0)
-    return (Z0 - one) / (Z0 + one)
+    return RationalFunction(Z0.num - Z0.den, Z0.num + Z0.den)
 
 
 def scattering_K_statespace(pair: CoupledModelPair,
@@ -273,7 +273,7 @@ def _port_transfer(gamma, gain, h, d, den, poles):
 
 
 def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
-    """Solve K = (Z-1)/(Z+1) for the impedance Z = (1+K)/(1-K).
+    """Solve K = N/D = (Z-1)/(Z+1) for Z = (1+K)/(1-K) = (D+N)/(D-N).
 
     Requires K inner with K(inf) = -1 (the no-feedthrough class); an
     inner K with K(inf) = +1 would need an impedance growing at
@@ -287,11 +287,9 @@ def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
         raise ImproperImpedanceError(
             f"K(infinity) = {kinf!r}, need -1; impedance would be improper"
         )
-    one = RationalFunction.constant(1.0)
-    numr = one + K
-    if numr.is_zero:
-        return RationalFunction.constant(0.0)  # short circuit
-    Z = numr / (one - K)
+    Z = RationalFunction(K.den + K.num, K.den - K.num)
+    if Z.is_zero:
+        return Z  # short circuit
     if not is_lossless_pr(Z):
         raise ValueError("inverted impedance failed the lossless test")
     return Z

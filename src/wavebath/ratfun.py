@@ -13,8 +13,12 @@ module keeps the conventions in one place:
 * roots within ``SNAP_TOL`` (relative) of the imaginary axis are
   classified as axis roots, and returned snapped onto it.
 
-Working degrees are capped at ``DEGREE_CAP``; operations that would
-exceed the cap raise ``DegreeCapError`` instead of silently producing
+The symmetry predicates read closed forms off the reduced (num, den)
+and form no product: inner iff num = +-den(-s) over a stable den, odd
+iff one of num, den is even and the other odd, even iff both are even.
+
+Degrees are capped at ``DEGREE_CAP``; operations that would exceed
+the cap raise ``DegreeCapError`` instead of silently producing
 ill-conditioned high-degree coefficient vectors.
 """
 
@@ -92,11 +96,6 @@ class Polynomial:
     @classmethod
     def one(cls):
         return cls([1.0])
-
-    @classmethod
-    def identity(cls):
-        """The polynomial p(s) = s."""
-        return cls([0.0, 1.0])
 
     @classmethod
     def from_roots(cls, roots, leading=1.0):
@@ -441,14 +440,9 @@ class RationalFunction:
         other = _as_rational(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        if np.array_equal(self.den.coeffs, other.den.coeffs):
-            # shared denominator cancels exactly; skipping the root-matched
-            # reduction here keeps Moebius chains like (Z-1)/(Z+1) from
-            # picking up deflation noise
-            return RationalFunction(self.num, other.num)
         k = _proportional(self.num, other.num)
         if k is not None:
-            # proportional numerators cancel exactly too; multiplying them
+            # proportional numerators cancel exactly; multiplying them
             # out and deflating the matched roots back off would amplify
             # whatever noise the operands carry
             return RationalFunction(other.den.scaled(k), self.den)
@@ -532,6 +526,14 @@ def _as_rational(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
 
 
+def _has_parity(p, parity, tol):
+    """Whether p's coefficients of the other parity (0 even, 1 odd)
+    vanish to tol of its largest coefficient."""
+    wrong = p.coeffs[1 - parity::2]
+    return wrong.size == 0 or bool(
+        np.max(np.abs(wrong)) <= tol * p.max_abs_coeff())
+
+
 def _poly_close(p, q, tol, scale):
     a, b = p.coeffs, q.coeffs
     n = max(a.size, b.size)
@@ -558,11 +560,13 @@ def _snap_to_axis(root):
 def is_lossless_pr(R, tol=1e-8):
     """True iff R is the impedance of a lossless one-port.
 
-    Checks, in order: R odd (R(-s) = -R(s) as the polynomial identity
-    num(s)den(-s) + num(-s)den(s) = 0), at most a simple pole at
-    infinity with positive coefficient, all finite poles simple and on
-    the imaginary axis with real positive residues, all zeros on the
-    axis, and pole/zero alternation along the nonnegative axis.
+    Checks, in order: R odd, at most a simple pole at infinity with
+    positive coefficient, all finite poles simple and on the imaginary
+    axis with real positive residues, all zeros on the axis, and
+    pole/zero alternation along the nonnegative axis.
+
+    R is odd iff, in its reduced form, den has the parity of its
+    degree and num the other one.
     """
     R = _as_rational(R)
     if R.is_zero:
@@ -570,10 +574,8 @@ def is_lossless_pr(R, tol=1e-8):
     dn, dd = R.num.degree, R.den.degree
     if dn - dd > 1:
         return False
-    # odd symmetry
-    odd = R.num * R.den.reflected() + R.num.reflected() * R.den
-    scale = R.num.max_abs_coeff() * R.den.max_abs_coeff()
-    if not _poly_close(odd, Polynomial.zero(), tol, scale):
+    if not (_has_parity(R.den, dd % 2, tol)
+            and _has_parity(R.num, 1 - dd % 2, tol)):
         return False
     # simple pole at infinity needs positive gain
     if dn == dd + 1 and R.num.leading / R.den.leading <= 0:
@@ -626,9 +628,10 @@ def _alternates(pole_freqs, zero_freqs):
 def is_inner(R, tol=1e-8):
     """True iff R is inner (all-pass): stable and |R(jw)| = 1.
 
-    Stability is strict (every pole in the open left half-plane) and
-    the modulus condition is checked as the exact polynomial identity
-    num(s)num(-s) = den(s)den(-s).
+    Stability is strict (every pole in the open left half-plane). For
+    the reduced form over a stable den, num(s)num(-s) = den(s)den(-s)
+    holds iff num = +-den(-s), the sign taken from the leading
+    coefficients.
     """
     R = _as_rational(R)
     if R.is_zero:
@@ -636,10 +639,10 @@ def is_inner(R, tol=1e-8):
     for p in R.poles():
         if p.real >= -SNAP_TOL * (1.0 + abs(p)):
             return False
-    lhs = R.num * R.num.reflected()
-    rhs = R.den * R.den.reflected()
-    scale = max(rhs.max_abs_coeff(), lhs.max_abs_coeff())
-    return _poly_close(lhs, rhs, tol, scale)
+    mirror = R.den.reflected()
+    mirror = mirror.scaled(np.sign(R.num.leading * mirror.leading))
+    scale = max(R.num.max_abs_coeff(), mirror.max_abs_coeff())
+    return _poly_close(R.num, mirror, tol, scale)
 
 
 # ---------------------------------------------------------------------
@@ -657,13 +660,14 @@ def spectral_factor(Phi, tol=1e-8):
     Raises SpectralFactorError when Phi is not even, has roots on the
     imaginary axis (factor would be lossy/marginal), or is not
     positive along the axis.
+
+    Phi is even iff num and den of its reduced form are both even.
+    W and W(-s) share no root, so their product is not reduced.
     """
     Phi = _as_rational(Phi)
     if Phi.is_zero:
         raise SpectralFactorError("zero spectrum cannot be factored")
-    cross = Phi.num * Phi.den.reflected() - Phi.num.reflected() * Phi.den
-    scale = Phi.num.max_abs_coeff() * Phi.den.max_abs_coeff()
-    if not _poly_close(cross, Polynomial.zero(), tol, scale):
+    if not (_has_parity(Phi.num, 0, tol) and _has_parity(Phi.den, 0, tol)):
         raise SpectralFactorError("spectrum is not an even function")
     num_roots = Phi.zeros()
     den_roots = Phi.poles()
@@ -691,7 +695,7 @@ def spectral_factor(Phi, tol=1e-8):
         raise SpectralFactorError("factor gain is not positive")
     W = RationalFunction(wn.scaled(np.sqrt(g2)), wd, reduce=False)
     Wbar = W.reflected()
-    prod = W * Wbar
+    prod = RationalFunction(W.num * Wbar.num, W.den * Wbar.den, reduce=False)
     if not prod.close_to(Phi, tol=1e-6):
         raise SpectralFactorError("factor product failed to reproduce spectrum")
     return W, Wbar

@@ -301,15 +301,12 @@ def _pbh_margin(A, v, eigs):
     return float(margin if np.isfinite(margin) else 0.0)
 
 
-def transfer_function(ss: StateSpace, reduce=True) -> RationalFunction:
-    """Resolve c (sI - A)^{-1} b + d as a rational function.
+def transfer_function(ss: StateSpace) -> RationalFunction:
+    """Resolve c (sI - A)^{-1} b + d as a reduced rational function.
 
     Uses the Leverrier iteration: the characteristic polynomial and
     the adjugate expansion come out of one pass of matrix products, so
-    no symbolic work and no per-frequency solves are needed. The
-    result is reduced by default; reduce=False keeps the raw quotient
-    over the full characteristic polynomial (coefficient-aligned
-    across different output rows of the same system).
+    no symbolic work and no per-frequency solves are needed.
     """
     A, b, c, d = ss.A, ss.b, ss.c, ss.d
     n = ss.dim
@@ -327,7 +324,7 @@ def transfer_function(ss: StateSpace, reduce=True) -> RationalFunction:
     den = Polynomial(den_high[::-1].copy(), rel_tol=0.0)
     if d != 0.0:
         num = num + den.scaled(d)
-    return RationalFunction(num, den, reduce=reduce)
+    return RationalFunction(num, den)
 
 
 def foster_from_rational(Z: RationalFunction, tol=1e-8) -> FosterSpec:

@@ -69,6 +69,16 @@ class TestGoldenOutputs:
         assert s["checks"]["foster_round_trip"]["pass"] is True
         assert s["result"]["state_dim"] == 3
 
+    def test_synth_takes_a_load_of_dimension_seventeen(self, tmp_path):
+        # k0 and eight tanks: the lossless check forms no product of
+        # degree 2n - 1, so only the load's own degree meets DEGREE_CAP
+        foster = "k0=1; " + "; ".join(f"tank=1,{1 + 0.5 * i}"
+                                      for i in range(8))
+        code, _, s = run(tmp_path, "synth", "--foster", foster)
+        assert code == 0
+        assert s["result"]["state_dim"] == 17
+        assert s["checks"]["foster_round_trip"]["pass"] is True
+
     def test_invert_infeasible_density_names_stage(self, tmp_path):
         # spectrum with a sign change on the axis cannot be factored
         code, _, s = run(tmp_path, "invert", "--phi", "0 0 1 ; 1 0 0 0 1")

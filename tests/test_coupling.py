@@ -37,8 +37,10 @@ from wavebath.ratfun import (
     DegreeCapError,
     Polynomial,
     RationalFunction,
+    SpectralFactorError,
     is_inner,
     is_lossless_pr,
+    spectral_factor,
 )
 from wavebath.realization import (
     FosterSpec,
@@ -204,6 +206,11 @@ class TestIdentityCertificate:
             if load.dim <= 13:
                 K_z = scattering_K(transfer_function(load.ss))
                 assert pair.K.close_to(K_z, tol=1e-12)
+            if load.dim <= 25:
+                # checked and inverted with no product of degree 2n
+                assert is_inner(pair.K)
+                back = scattering_K(invert_K_to_Z(pair.K))
+                assert back.close_to(pair.K, tol=1e-12)
 
     def test_matrices_are_the_feedback_forms(self):
         for load in (CAP, TANK, CAP_TANK, *ceiling_family(3, 4, count=5)):
@@ -282,6 +289,36 @@ class TestIdentityCertificate:
         # the paraconjugate numerator: |num| and |den| agree coefficientwise
         assert np.array_equal(np.abs(small.K.num.coeffs),
                               np.abs(small.K.den.coeffs))
+
+    def test_symmetry_checks_and_moebius_maps_form_no_product(
+            self, monkeypatch):
+        spec = ceiling_specs(7, 6, count=1)[0]
+        Z = foster_to_rational(spec)
+        K = close_loops(foster_realize(spec)).K
+        assert K.den.degree == 13
+        not_even = RationalFunction([1.0], [1.0, 1e-3, 1.0])
+
+        def refuse(*args):
+            raise AssertionError("polynomial product formed")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+        reductions = []
+        cancel = wavebath.ratfun._cancel_common
+        monkeypatch.setattr(
+            wavebath.ratfun, "_cancel_common",
+            lambda num, den: reductions.append(1) or cancel(num, den))
+        assert is_inner(K)
+        assert is_lossless_pr(Z)
+        with pytest.raises(SpectralFactorError, match="not an even"):
+            spectral_factor(not_even)
+        assert reductions == []
+        K_z = scattering_K(Z)
+        assert len(reductions) == 1
+        Z_k = invert_K_to_Z(K)
+        assert len(reductions) == 2
+        assert K_z.close_to(K, tol=1e-12)
+        assert Z_k.close_to(Z, tol=1e-9)
 
 
 class TestScatteringK:

@@ -21,6 +21,7 @@ from wavebath.ratfun import (
     _split_conjugate,
     spectral_factor,
 )
+from wavebath.realization import FosterSpec, foster_to_rational
 
 
 def rat(num, den):
@@ -443,6 +444,134 @@ class TestSpectralFactor:
         Phi = rat([9.0], [4.0, 0.0, -5.0, 0.0, 1.0])
         W, Wbar = spectral_factor(Phi)
         assert is_inner(W / Wbar)
+
+
+# -- product identities: reference oracles for the closed forms ----------
+
+
+def _vanishes(p, tol, scale):
+    return bool(np.max(np.abs(p.coeffs)) <= tol * scale)
+
+
+def odd_by_products(R, tol=1e-8):
+    """Reference: R(-s) = -R(s) as num(s)den(-s) + num(-s)den(s) = 0."""
+    odd = R.num * R.den.reflected() + R.num.reflected() * R.den
+    return _vanishes(odd, tol, R.num.max_abs_coeff() * R.den.max_abs_coeff())
+
+
+def even_by_products(R, tol=1e-8):
+    """Reference: R(-s) = R(s) as num(s)den(-s) - num(-s)den(s) = 0."""
+    cross = R.num * R.den.reflected() - R.num.reflected() * R.den
+    return _vanishes(cross, tol,
+                     R.num.max_abs_coeff() * R.den.max_abs_coeff())
+
+
+def inner_by_products(R, tol=1e-8):
+    """Reference: strictly stable poles and num(s)num(-s) = den(s)den(-s)."""
+    if any(p.real >= -1e-8 * (1.0 + abs(p)) for p in R.poles()):
+        return False
+    lhs = R.num * R.num.reflected()
+    rhs = R.den * R.den.reflected()
+    scale = max(rhs.max_abs_coeff(), lhs.max_abs_coeff())
+    return _vanishes(lhs - rhs, tol, scale)
+
+
+def even_by_factor(Phi):
+    """spectral_factor's verdict on evenness alone."""
+    try:
+        spectral_factor(Phi)
+    except SpectralFactorError as exc:
+        if "not an even function" in str(exc):
+            return False
+        raise
+    return True
+
+
+def foster_specs():
+    """One load per dimension 1-13: k0 at odd dimensions, residues from
+    U(0.2, 2), the first tank at U(0.6, 1.0), gaps 0.3 + U(0, 0.4)."""
+    rng = np.random.default_rng(10)
+    specs = []
+    for dim in range(1, 14):
+        k0 = float(rng.uniform(0.2, 2.0)) if dim % 2 else 0.0
+        w = float(rng.uniform(0.6, 1.0))
+        tanks = []
+        for _ in range(dim // 2):
+            tanks.append((float(rng.uniform(0.2, 2.0)), w))
+            w += 0.3 + float(rng.uniform(0.0, 0.4))
+        specs.append(FosterSpec(k0, tuple(tanks)))
+    return specs
+
+
+def nudged(p, parity, rng, eps=1e-6, size=0):
+    """p, padded to `size` coefficients, with each coefficient at the
+    degrees of the given parity moved by eps relative to itself (to the
+    largest coefficient where it is zero), in random sign."""
+    c = np.zeros(max(size, p.coeffs.size))
+    c[: p.coeffs.size] = p.coeffs
+    part = c[parity::2]
+    scale = np.where(part == 0.0, p.max_abs_coeff(), np.abs(part))
+    c[parity::2] += eps * scale * rng.choice([-1.0, 1.0], part.size)
+    return Polynomial(c)
+
+
+def acceptance_spectrum(spec, gain):
+    """Acceptance 10's density gain^2 / (D+N)(s) (D+N)(-s) of Z = N/D."""
+    Z = foster_to_rational(spec)
+    DN = Z.den + Z.num
+    den = DN * DN.reflected()
+    return RationalFunction(
+        Polynomial([gain * gain * np.sign(den.coeffs[0])]), den,
+        reduce=False)
+
+
+class TestClosedFormsMatchProducts:
+    def test_oddness(self):
+        rng = np.random.default_rng(11)
+        for spec in foster_specs():
+            Z = foster_to_rational(spec)
+            q = Z.den.degree % 2  # den has q's parity, num the other
+            cases = [
+                (Z, True),
+                (RationalFunction(nudged(Z.num, 1 - q, rng),
+                                  nudged(Z.den, q, rng)), True),
+                (RationalFunction(nudged(Z.num, q, rng, size=Z.den.degree + 1),
+                                  Z.den), False),
+                (RationalFunction(Z.num, nudged(Z.den, 1 - q, rng)), False),
+            ]
+            for R, odd in cases:
+                assert odd_by_products(R) is odd
+                assert is_lossless_pr(R) is odd, (spec, R)
+
+    def test_inner(self):
+        rng = np.random.default_rng(12)
+        for degree in range(1, 14):
+            pairs = (-rng.uniform(0.1, 2.0, degree // 2)
+                     + 1j * rng.uniform(0.2, 3.0, degree // 2))
+            reals = -rng.uniform(0.1, 2.0, degree % 2)
+            D = Polynomial.from_roots(
+                np.concatenate([pairs, pairs.conj(), reals]))
+            for sign in (1.0, -1.0):
+                cases = [
+                    (RationalFunction(D.reflected().scaled(sign), D), True),
+                    (RationalFunction([sign * D.coeffs[0]], D), False),
+                    (RationalFunction(D.scaled(sign), D.reflected()), False),
+                    (RationalFunction(
+                        nudged(D.reflected().scaled(sign), degree % 2, rng),
+                        D), False),
+                ]
+                for K, inner in cases:
+                    assert inner_by_products(K) is inner
+                    assert is_inner(K) is inner, (degree, sign, K)
+
+    def test_evenness(self):
+        rng = np.random.default_rng(13)
+        for spec in foster_specs():
+            Phi = acceptance_spectrum(spec, float(rng.uniform(0.5, 3.0)))
+            odd_part = RationalFunction(Phi.num, nudged(Phi.den, 1, rng))
+            assert even_by_products(Phi) and even_by_factor(Phi)
+            assert not even_by_products(odd_part)
+            assert not even_by_factor(odd_part)
 
 
 _nice_coeff = st.one_of(
