@@ -122,6 +122,7 @@ class CoupledModelPair:
         (-1)^(n+1) den(-s). Raises DegreeCapError past DEGREE_CAP."""
         den = Polynomial.from_roots(self.poles)
         sign = 1.0 if self.dim % 2 else -1.0
+        # coprime: den is Hurwitz and den(-s) anti-Hurwitz
         return RationalFunction(den.reflected().scaled(sign), den,
                                 reduce=False)
 
@@ -269,6 +270,7 @@ def _port_transfer(gamma, gain, h, d, den, poles):
     num = _adjugate_numerator(gamma, gain, h, den)
     if d != 0.0:
         num = num + den.scaled(2.0 * d)
+    # coprime: every root of den that num vanishes on is deflated
     return RationalFunction(*cancel_known_roots(num, den, poles), reduce=False)
 
 

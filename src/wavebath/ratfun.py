@@ -9,7 +9,9 @@ module keeps the conventions in one place:
 * the zero polynomial has degree ``None`` (never a negative number);
 * rational functions are normalized on construction: common root pairs
   are cancelled by root matching (relative tolerance ``MATCH_TOL``) and
-  the denominator is made monic;
+  the denominator is made monic. A quotient of proportional numerators
+  whose operands a Routh test proves Hurwitz and anti-Hurwitz, as in
+  W / Wbar, is coprime and skips root matching;
 * roots within ``SNAP_TOL`` (relative) of the imaginary axis are
   classified as axis roots, and returned snapped onto it.
 
@@ -320,6 +322,76 @@ def _deflate_both(num, den, roots):
     return num, den
 
 
+# Share of the terms it is formed from that a shifted coefficient or a
+# Routh first-column entry must keep for its sign to be trusted. On
+# degree-31 W / Wbar denominators the first column is within 1e-8
+# (relative) of exact rational arithmetic, and no entry keeps less
+# than 1.7% of its terms.
+_ROUTH_TRUST = 1e-6
+
+
+def _root_bound(c):
+    """Fujiwara's bound on the root moduli of the polynomial with
+    coefficients c (lowest degree first)."""
+    n = len(c) - 1
+    if n == 0:
+        return 0.0
+    lead = abs(c[-1])
+    terms = [abs(c[k] / lead) ** (1.0 / (n - k)) for k in range(1, n)]
+    terms.append(abs(c[0] / (2.0 * lead)) ** (1.0 / n))
+    return 2.0 * max(terms)
+
+
+def _hurwitz_beyond(c, sigma):
+    """Whether every root of the polynomial with coefficients c (lowest
+    degree first) has real part below -sigma.
+
+    Routh's test on p(s - sigma) (Gantmacher, The Theory of Matrices,
+    vol. 2, ch. XV): O(n^2), in plain floats, which beat numpy's
+    per-call cost at these degrees. An entry that is not positive, or
+    that lost its sign to cancellation, gives False.
+    """
+    n = len(c) - 1
+    a = c[::-1] if c[-1] > 0 else [-x for x in c[::-1]]  # highest first
+    size = [abs(x) for x in a]
+    for i in range(n):  # Taylor shift by -sigma
+        for j in range(1, n + 1 - i):
+            a[j] -= sigma * a[j - 1]
+            size[j] += sigma * size[j - 1]
+    if not all(x > _ROUTH_TRUST * m for x, m in zip(a, size)):
+        return False
+    r0, r1 = a[0::2], a[1::2]
+    while r1:
+        q = r0[0] / r1[0]
+        b = r1[1:] + [0.0] * (len(r0) - len(r1))
+        row = [x - q * y for x, y in zip(r0[1:], b)]
+        if row and not row[0] > _ROUTH_TRUST * (abs(r0[1]) + abs(q * b[0])):
+            return False
+        r0, r1 = r1, row
+    return True
+
+
+def _split_by_axis(num, den):
+    """Whether num and den are proved coprime without computing a root.
+
+    With sigma = MATCH_TOL (1 + R), R a root bound of both, one of them
+    must have every root at Re < -sigma and the other every root at
+    Re > sigma. Their roots are then more than 2 sigma apart, twice
+    the radius within which _cancel_common matches a pair, so root
+    matching would cancel nothing unless np.roots misplaced a root by
+    more than sigma.
+    """
+    a, b = num.coeffs.tolist(), den.coeffs.tolist()
+    sigma = MATCH_TOL * (1.0 + max(_root_bound(a), _root_bound(b)))
+
+    def mirror(c):  # p(s) -> p(-s)
+        return [-x if k % 2 else x for k, x in enumerate(c)]
+
+    return ((_hurwitz_beyond(b, sigma) and _hurwitz_beyond(mirror(a), sigma))
+            or (_hurwitz_beyond(a, sigma)
+                and _hurwitz_beyond(mirror(b), sigma)))
+
+
 def cancel_known_roots(num, den, roots):
     """Deflate from num and den the given roots of den that num shares.
 
@@ -342,7 +414,10 @@ class RationalFunction:
 
     Construction cancels common roots (relative tolerance MATCH_TOL)
     and scales so the denominator is monic. The zero function is
-    represented as 0/1.
+    represented as 0/1. Every instance is reduced: a construction with
+    reduce=False states why its operands are coprime. Division with
+    proportional numerators skips root matching when _split_by_axis
+    proves one side Hurwitz and the other anti-Hurwitz.
     """
 
     __slots__ = ("num", "den")
@@ -368,6 +443,7 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, a):
+        # coprime: the denominator 1 has no root
         return cls(Polynomial([float(a)]), Polynomial.one(), reduce=False)
 
     @property
@@ -422,6 +498,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
+        # coprime: negation keeps the roots of the reduced self
         return RationalFunction(-self.num, self.den, reduce=False)
 
     def __sub__(self, other):
@@ -444,8 +521,12 @@ class RationalFunction:
         if k is not None:
             # proportional numerators cancel exactly; multiplying them
             # out and deflating the matched roots back off would amplify
-            # whatever noise the operands carry
-            return RationalFunction(other.den.scaled(k), self.den)
+            # whatever noise the operands carry. A W / Wbar quotient has
+            # a Hurwitz and an anti-Hurwitz side: _split_by_axis proves
+            # them coprime, and root matching is skipped
+            num = other.den.scaled(k)
+            return RationalFunction(num, self.den,
+                                    reduce=not _split_by_axis(num, self.den))
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -453,6 +534,7 @@ class RationalFunction:
 
     def reflected(self):
         """R(s) -> R(-s)."""
+        # coprime: s -> -s moves both root sets alike
         return RationalFunction(
             self.num.reflected(), self.den.reflected(), reduce=False
         )
@@ -520,6 +602,7 @@ def _as_rational(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, Polynomial):
+        # coprime: the denominator 1 has no root
         return RationalFunction(x, Polynomial.one(), reduce=False)
     if np.isscalar(x):
         return RationalFunction.constant(x)
@@ -693,8 +776,10 @@ def spectral_factor(Phi, tol=1e-8):
     g2 = phi0 * wd(0.0) ** 2 / wn(0.0) ** 2
     if g2 <= 0:
         raise SpectralFactorError("factor gain is not positive")
+    # coprime: wn and wd take disjoint subsets of the reduced Phi's roots
     W = RationalFunction(wn.scaled(np.sqrt(g2)), wd, reduce=False)
     Wbar = W.reflected()
+    # coprime: num and den carry all of Phi's num and den roots
     prod = RationalFunction(W.num * Wbar.num, W.den * Wbar.den, reduce=False)
     if not prod.close_to(Phi, tol=1e-6):
         raise SpectralFactorError("factor product failed to reproduce spectrum")

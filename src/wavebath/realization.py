@@ -228,7 +228,7 @@ def foster_to_rational(spec: FosterSpec) -> RationalFunction:
     for tn, td in terms:
         num = num * td + tn * den
         den = den * td
-    # branch denominators are pairwise coprime by construction
+    # coprime: the branch poles are distinct and each keeps its residue
     return RationalFunction(num, den, reduce=False)
 
 

@@ -37,6 +37,20 @@ class MBParams:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.m, self.kT, self.k)):
             raise ValueError("m, kT and k must all be positive and finite")
+        try:
+            norm = self.speed_norm
+        except OverflowError:
+            norm = math.inf
+        if not 0 < norm < math.inf:
+            raise ValueError(
+                f"m/kT = {self.m / self.kT:.3g} is out of range: the speed "
+                "density's normalisation is not a positive finite float")
+
+    @property
+    def speed_norm(self):
+        """The speed density's normalisation 4 pi (m / 2 pi kT)^{3/2}."""
+        a = self.m / (2.0 * self.kT)
+        return 4.0 * math.pi * (a / math.pi) ** 1.5
 
     @property
     def sigma(self):
@@ -50,8 +64,7 @@ def mb_speed_pdf(params: MBParams, v):
     if np.any(v < 0):
         raise ValueError("speeds are nonnegative")
     a = params.m / (2.0 * params.kT)
-    norm = 4.0 * np.pi * (a / np.pi) ** 1.5
-    out = norm * v * v * np.exp(-a * v * v)
+    out = params.speed_norm * v * v * np.exp(-a * v * v)
     return float(out) if out.ndim == 0 else out
 
 

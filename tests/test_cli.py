@@ -312,6 +312,15 @@ class TestUsageErrors:
                        str(tmp_path / "run")])
         assert_usage_error(proc, name)
 
+    @pytest.mark.parametrize("argv", [["--kT", "1e-300"], ["--m", "1e300"]],
+                             ids=["kT-tiny", "m-huge"])
+    def test_unnormalisable_speed_density_exits_two_without_traceback(
+            self, tmp_path, argv):
+        # (m / 2 pi kT)^{3/2} overflows a float for both
+        proc = python(["-m", "wavebath.cli", "mb-stats", *argv, "--out",
+                       str(tmp_path / "run")])
+        assert_usage_error(proc, "normalisation")
+
     @pytest.mark.parametrize("foster, name", [
         ("k0=1; tank=1,1; tank=1,1.0000000001", "lossless"),
         (SEVENTEEN_TANKS, "degree"),

@@ -518,6 +518,30 @@ class TestObservableTransfers:
         assert eig_calls == [(13, 13), (13, 13)]
         assert W.den.degree == Wbar.den.degree == 13
 
+    def test_quotient_runs_no_root_matching(self, monkeypatch):
+        loads = []
+        for dim in range(1, 14):
+            for spec in ceiling_specs(dim, dim // 2, count=2):
+                loads.append(foster_realize(
+                    spec if dim % 2 else FosterSpec(0.0, spec.tanks)))
+        for n_tanks in (8, 12, 15):
+            loads += ceiling_family(7, n_tanks, count=5)
+        reductions = []
+        cancel = wavebath.ratfun._cancel_common
+        monkeypatch.setattr(
+            wavebath.ratfun, "_cancel_common",
+            lambda num, den: reductions.append(1) or cancel(num, den))
+        rng = np.random.default_rng(31)
+        for load in loads:
+            pair = close_loops(load)
+            for _ in range(4):
+                obs = Observable.build(load, rng.normal(size=load.dim),
+                                       float(rng.normal()))
+                W, Wbar = observable_transfers(pair, obs)
+                quotient = W / Wbar
+                assert reductions == [], f"dimension {load.dim}"
+                assert quotient.close_to(pair.K, tol=1e-8)
+
     def test_rows_satisfy_sum_rule(self):
         obs = Observable.build(TANK, [0.3, -1.2], 0.7)
         np.testing.assert_allclose(obs.h + obs.h_bar, 2 * obs.c, atol=1e-14)
@@ -570,6 +594,66 @@ def constant_numerator_spectrum(spec, gain=2.0):
     return RationalFunction(
         Polynomial([gain * gain * np.sign(sign)]), den, reduce=False
     )
+
+
+# loads for the reduce=False audit: the unit capacitor plus tank and
+# two dimension-13 loads
+_SPECS = (FosterSpec(k0=1.0, tanks=((0.5, 1.0),)),
+          *ceiling_specs(7, 6, count=2))
+
+
+def _parts(*rats):
+    return [(R.num, R.den) for R in rats]
+
+
+def _K():
+    return [close_loops(foster_realize(spec)).K for spec in _SPECS]
+
+
+def _Z():
+    return [foster_to_rational(spec) for spec in _SPECS]
+
+
+def _port_transfers():
+    out = []
+    for spec in _SPECS:
+        load = foster_realize(spec)
+        pair = close_loops(load)
+        rng = np.random.default_rng(load.dim)
+        for h in (rng.normal(size=load.dim), blind_row(pair)):
+            out += _parts(*observable_transfers(
+                pair, Observable.build(load, h, 0.4)))
+    return out
+
+
+def _spectral_factors():
+    out = []
+    for spec in _SPECS:
+        W, Wbar = spectral_factor(constant_numerator_spectrum(spec))
+        out += _parts(W) + [(W.num * Wbar.num, W.den * Wbar.den)]
+    return out
+
+
+# every library construction with reduce=False, on representative inputs
+REDUCE_FALSE_SITES = {
+    "CoupledModelPair.K": lambda: _parts(*_K()),
+    "_port_transfer": _port_transfers,
+    "constant": lambda: _parts(RationalFunction.constant(2.5),
+                               RationalFunction.constant(-1.0)),
+    "__neg__": lambda: _parts(*(-R for R in _K() + _Z())),
+    "reflected": lambda: _parts(*(R.reflected() for R in _K() + _Z())),
+    "_as_rational": lambda: _parts(wavebath.ratfun._as_rational(
+        Polynomial([1.0, -2.0, 0.5]))),
+    "spectral_factor": _spectral_factors,
+    "foster_to_rational": lambda: _parts(*_Z()),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REDUCE_FALSE_SITES))
+def test_reduce_false_site_is_already_reduced(site):
+    for num, den in REDUCE_FALSE_SITES[site]():
+        out = wavebath.ratfun._cancel_common(num, den)
+        assert out[0] is num and out[1] is den
 
 
 class TestSynthesis:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavebath import ratfun
 from wavebath.ratfun import (
     DEGREE_CAP,
     DegreeCapError,
@@ -18,6 +19,7 @@ from wavebath.ratfun import (
     SpectralFactorError,
     is_inner,
     is_lossless_pr,
+    _hurwitz_beyond,
     _split_conjugate,
     spectral_factor,
 )
@@ -444,6 +446,137 @@ class TestSpectralFactor:
         Phi = rat([9.0], [4.0, 0.0, -5.0, 0.0, 1.0])
         W, Wbar = spectral_factor(Phi)
         assert is_inner(W / Wbar)
+
+
+# -- W / Wbar: coprimality proved by a margin-shifted Routh test ---------
+
+
+def stable_poles(degree, rng):
+    """Poles like a coupled load's: conjugate pairs 0.005-0.5 left of
+    the axis at frequencies 0.3-0.7 apart, plus one real pole when the
+    degree is odd."""
+    poles = []
+    w = rng.uniform(0.6, 1.0)
+    for _ in range(degree // 2):
+        re = -rng.uniform(0.005, 0.5)
+        poles += [complex(re, w), complex(re, -w)]
+        w += rng.uniform(0.3, 0.7)
+    if degree % 2:
+        poles.append(-rng.uniform(0.2, 2.0))
+    return poles
+
+
+def wave_pair(den, num):
+    """Operands shaped like an observable's (W, Wbar): num over den and
+    a multiple of num over the mirror (-1)^n den(-s)."""
+    sign = -1.0 if den.degree % 2 else 1.0
+    return (RationalFunction(num, den, reduce=False),
+            RationalFunction(num.scaled(-0.7), den.reflected().scaled(sign),
+                             reduce=False))
+
+
+def root_matched(a, b):
+    """a / b for proportional numerators, reduced by root matching."""
+    return RationalFunction(b.den.scaled(a.num.leading / b.num.leading),
+                            a.den)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Records every root-matched reduction (_cancel_common call)."""
+    calls = []
+    cancel = ratfun._cancel_common
+    monkeypatch.setattr(ratfun, "_cancel_common",
+                        lambda num, den: calls.append(1) or cancel(num, den))
+    return calls
+
+
+class TestQuotientCoprimalityProof:
+    def divide(self, a, b, reductions):
+        """a / b and the number of root-matched reductions it ran."""
+        reductions.clear()
+        q = a / b
+        return q, len(reductions)
+
+    def assert_same(self, q, ref):
+        assert same_bits(q.num.coeffs, ref.num.coeffs)
+        assert same_bits(q.den.coeffs, ref.den.coeffs)
+
+    @pytest.mark.parametrize("degree", range(1, 32))
+    def test_blaschke_quotient_skips_root_matching(self, degree,
+                                                   reductions):
+        rng = np.random.default_rng(degree)
+        den = Polynomial.from_roots(stable_poles(degree, rng))
+        W, Wbar = wave_pair(den, Polynomial(rng.normal(size=degree)))
+        for a, b in ((W, Wbar), (Wbar, W)):
+            q, ran = self.divide(a, b, reductions)
+            assert ran == 0
+            self.assert_same(q, root_matched(a, b))
+
+    @pytest.mark.parametrize("pole", [complex(-3e-8, 1.0),
+                                      complex(-4e-6, 100.0)])
+    def test_near_axis_pair_falls_back(self, pole, reductions):
+        # the pole passes CoupledModelPair's stability margin (2e-8 and
+        # 1.01e-6 here) but sits within MATCH_TOL of its mirror: root
+        # matching cancels the pair, so the proof must refuse. At
+        # 100i no Routh entry is small: only the margin refuses
+        den = Polynomial.from_roots(
+            [pole, pole.conjugate(),
+             complex(-0.3, 1.7), complex(-0.3, -1.7), -1.0])
+        W, Wbar = wave_pair(den, Polynomial([0.4, -1.0, 2.0]))
+        for a, b in ((W, Wbar), (Wbar, W)):
+            q, ran = self.divide(a, b, reductions)
+            assert ran == 1
+            assert q.den.degree == 3
+            assert q.close_to(root_matched(a, b), tol=1e-12)
+
+    def test_shared_root_falls_back(self, reductions):
+        num = Polynomial([1.0, 2.0, 3.0])
+        a = RationalFunction(num, Polynomial.from_roots([-1.0, -3.0]),
+                             reduce=False)
+        b = RationalFunction(num.scaled(-2.0),
+                             Polynomial.from_roots([-1.0, 2.0]), reduce=False)
+        q, ran = self.divide(a, b, reductions)
+        assert ran == 1
+        assert q.den.degree == 1
+        assert q.close_to(root_matched(a, b), tol=1e-12)
+
+    def test_unstable_operand_falls_back(self, reductions):
+        den = Polynomial.from_roots(
+            [0.5, complex(-0.3, 1.2), complex(-0.3, -1.2), -2.0])
+        W, Wbar = wave_pair(den, Polynomial([1.0, -0.5, 0.25]))
+        for a, b in ((W, Wbar), (Wbar, W)):
+            q, ran = self.divide(a, b, reductions)
+            assert ran == 1
+            self.assert_same(q, root_matched(a, b))
+
+    def test_degree_zero_operands(self, reductions):
+        num = Polynomial([0.5, -1.0, 2.0, 1.0])
+        den = Polynomial.from_roots([complex(-0.2, 1.0),
+                                     complex(-0.2, -1.0), -1.0])
+        cases = [
+            (RationalFunction.constant(3.0), RationalFunction.constant(-1.5)),
+            wave_pair(den, Polynomial([2.5])),
+            (RationalFunction(num, Polynomial.one(), reduce=False),
+             RationalFunction(num.scaled(2.0), Polynomial.one(),
+                              reduce=False)),
+        ]
+        for a, b in cases:
+            for x, y in ((a, b), (b, a)):
+                q, ran = self.divide(x, y, reductions)
+                assert ran == 0
+                self.assert_same(q, root_matched(x, y))
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 12])
+    def test_routh_margin_sits_at_minus_sigma(self, degree):
+        poles = np.array(stable_poles(degree, np.random.default_rng(degree)))
+        # a root 3e-10 beyond the margin leaves an entry too small to
+        # trust: no proof, although its sign is right
+        for edge, want in ((-0.33, True), (-0.27, False),
+                           (-0.3 * (1 + 1e-9), False)):
+            p = Polynomial.from_roots(poles + (edge - poles.real.max()))
+            assert _hurwitz_beyond(p.coeffs.tolist(), 0.3) is want
+            assert _hurwitz_beyond(p.reflected().coeffs.tolist(), 0.3) is False
 
 
 # -- product identities: reference oracles for the closed forms ----------
