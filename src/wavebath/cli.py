@@ -472,10 +472,6 @@ def _run_autocorr(params, seed, out_dir):
 
 
 def _run_mb_stats(params, seed, out_dir):
-    # imported here, not at module level: it is slow to import and no
-    # other command uses it
-    from scipy.integrate import quad
-
     try:
         mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     except ValueError as exc:
@@ -490,11 +486,8 @@ def _run_mb_stats(params, seed, out_dir):
     # closed form vs independent quadrature for the divergence
     T0, T1 = mb.kT, 2.0 * mb.kT
     a0, a1 = mb.m / (2 * T0), mb.m / (2 * T1)
-    quad_kl, _ = quad(
-        lambda s: statmech.mb_speed_pdf(mb, s)
-        * (1.5 * math.log(a0 / a1) - (a0 - a1) * s * s),
-        0, np.inf,
-    )
+    quad_kl = statmech.mb_speed_mean(
+        mb, lambda s: 1.5 * math.log(a0 / a1) - (a0 - a1) * s * s)
     closed_kl = statmech.kl_mb(T0, T1)
     neg_quad = statmech.negentropy_mb(mb)
     neg_closed = -mb.k * 1.5 * math.log(2 * math.pi * math.e * mb.kT / mb.m)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, in process, and in a fresh
 interpreter where stderr or the import set is under test."""
 
+import ast
 import json
 import os
 import subprocess
@@ -146,6 +147,14 @@ class TestSimulationRuns:
                      "kl_quadrature_agreement", "negentropy_agreement",
                      "kl_positive_off_diagonal"):
             assert s["checks"][name]["pass"] is True, name
+
+    @pytest.mark.parametrize("m", ["1e-8", "1e-20"])
+    def test_mb_stats_far_from_unit_sigma(self, tmp_path, m):
+        # sigma = 1e4 and 1e10: valid inputs whose quadrature runs in
+        # units of sigma
+        code, _, s = run(tmp_path, "mb-stats", "--m", m, "--n", "20000")
+        assert code == 0
+        assert all(check["pass"] for check in s["checks"].values())
 
     def test_autocorr_small_ensemble_fails_honestly(self, tmp_path, capsys):
         code, _, s = run(tmp_path, "autocorr", "--M", "40", "--t-max", "30",
@@ -371,21 +380,33 @@ class TestUsageErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    # the eight README command lines
     @pytest.mark.parametrize("argv", [
         ["couple", "--foster", "k0=1"],
         ["invert", "--phi", "1;1 0 -1"],
         ["lattice-sim", "--M", "400", "--t-max", "100", "--seed", "3"],
+        ["line-sim", "--foster", "k0 = 0.5; tank = 1,2", "--x-max", "26",
+         "--t-max", "25", "--window", "12,24"],
+        ["string-sim", "--foster", "k0=1", "--init", "noise", "--seed", "7"],
+        ["autocorr", "--runs", "160", "--seed", "1"],
+        ["mb-stats", "--kT", "1.3"],
+        ["report"],
     ])
     def test_command_runs_without_scipy(self, tmp_path, argv):
+        if argv[0] == "report":     # it reads the run directories made before
+            cap = str(tmp_path / "cap")
+            assert main(["couple", "--foster", "k0=1", "--out", cap]) == 0
+            argv = [*argv, cap]
         argv = [*argv, "--out", str(tmp_path / "run")]
         proc = python(["-c", "import sys; from wavebath.cli import main; "
                        f"code = main({argv!r}); print(code, sorted("
                        "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 []"
+        # report prints its table first
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
-    def test_autocorr_loads_only_scipy_special(self, tmp_path):
-        # the J0 oracle is the only scipy routine the chain commands use
+    def test_autocorr_loads_no_scipy_subpackage(self, tmp_path):
+        # the J0 oracle is a midpoint rule, not scipy.special.j0
         argv = ["autocorr", "--M", "40", "--t-max", "10", "--runs", "4",
                 "--out", str(tmp_path / "run")]
         proc = python(["-c", "import pkgutil, sys, scipy; "
@@ -395,7 +416,23 @@ class TestUsageErrors:
                        "scipy.__path__) if pkg and not name.startswith('_') "
                        "and 'scipy.' + name in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True ['special']"
+        assert proc.stdout.strip() == "True []"
+
+    def test_package_source_imports_no_scipy(self):
+        # static: a lazy import inside a function counts too
+        src = Path(wavebath.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_bad_init_choice(self, tmp_path):
         code, _, _ = run(tmp_path, "line-sim", "--foster", "k0=1",

@@ -29,7 +29,7 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import _dst1, _ensemble_series
+from wavebath.lattice import _dst1, _ensemble_series, _j0_nodes
 from wavebath.ratfun import RationalFunction
 
 
@@ -386,6 +386,32 @@ class TestAutocovOracle:
         lags = 0.25 * np.arange(4001)
         got = autocov_oracle(1.0, 2.1, lags)
         assert np.max(np.abs(got - legendre_oracle(1.0, 2.1, lags))) < 1e-10
+
+    @pytest.mark.parametrize("dt, c", [(0.25, 1.0), (2.5, 1.0), (0.5, 0.7)],
+                             ids=["acceptance-07", "ten-times-range",
+                                  "c-0.7"])
+    def test_matches_scipy_j0(self, dt, c):
+        # 4001 lags: x = 2ct up to 2000 (acceptance 07) and up to 20000
+        lags = dt * np.arange(4001)
+        got = autocov_oracle(c, 2.1, lags)
+        assert np.max(np.abs(got - 2.1 * j0(2.0 * c * lags))) <= 1e-13
+
+    @pytest.mark.parametrize("t_max", [0.0, 1e-9, 0.05, 0.5, 2.0])
+    def test_small_arguments_use_the_node_floor(self, t_max):
+        # N = x/2 + 6 x^{1/3} alone would give no node at x = 0 and two
+        # at x = 1e-9; the floor keeps at least 16, and every count is
+        # even so the nodes pair up about pi/2
+        lags = np.linspace(0.0, t_max, 41)
+        n = _j0_nodes(2.0 * t_max)
+        assert n >= 16 and n % 2 == 0
+        got = autocov_oracle(1.0, 1.0, lags)
+        assert np.max(np.abs(got - j0(2.0 * lags))) <= 1e-15
+        assert got[0] == 1.0
+
+    def test_keeps_the_shape_of_its_lags(self):
+        assert autocov_oracle(1.0, 1.0, 0.0).shape == ()
+        assert autocov_oracle(1.0, 1.0, np.zeros((2, 3))).shape == (2, 3)
+        assert autocov_oracle(1.0, 1.0, []).shape == (0,)
 
 
 @pytest.fixture(scope="module")

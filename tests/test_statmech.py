@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,8 +13,10 @@ from wavebath.lattice import isolated_site_series
 from wavebath.statmech import (
     MBParams,
     autocovariance,
+    chi2_three_cdf,
     kl_mb,
     ks_chi2_three,
+    mb_speed_mean,
     mb_speed_pdf,
     negentropy_mb,
     periodicity_probe,
@@ -85,10 +88,25 @@ class TestSampler:
                                              (20_000, 3, 1.3),
                                              (100_000, 42, 1.7)])
     def test_ks_statistic_matches_scipy_stats(self, n, seed, kT):
+        # the statistic alone: both sides use the package's CDF, which
+        # test_chi2_three_cdf_is_exact pins
         p = MBParams(m=1.0, kT=kT)
         x = sample_mb(p, n, seed=seed) ** 2 / p.sigma**2
-        expected = kstest(x, "chi2", args=(3,)).statistic
+        expected = kstest(x, chi2_three_cdf).statistic
         assert abs(ks_chi2_three(x) - expected) <= 1e-15
+
+    def test_chi2_three_cdf_is_exact(self):
+        # P(3/2, x/2) at 30 digits; both branches, the switch at x = 3,
+        # the small-x cancellation and the far tail
+        x = np.concatenate([np.linspace(0.0, 60.0, 601),
+                            np.linspace(2.9, 3.1, 41), [1e-300, 1e-8, 1e-3]])
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.gammainc(
+                1.5, 0, mpmath.mpf(v) / 2, regularized=True)) for v in x])
+        assert np.max(np.abs(chi2_three_cdf(x) - exact)) <= 2.5e-16
+
+    def test_chi2_three_cdf_of_negative_argument_is_zero(self):
+        assert np.all(chi2_three_cdf([-5.0, -1e-12, 0.0]) == 0.0)
 
     def test_temperature_scaling_is_exact_for_shared_seed(self):
         # same seed means same underlying normals, so quadrupling kT
@@ -133,6 +151,19 @@ class TestDivergence:
         val, _ = quad(integrand, 0, np.inf)
         assert abs(val - kl_mb(T0, T1)) < 1e-6
 
+    @pytest.mark.parametrize("m, kT", [(1.0, 1.3), (1e-20, 1.0),
+                                       (6.6e-26, 4.1e-21)])
+    def test_speed_mean_matches_closed_form(self, m, kT):
+        # the mb-stats route, down to SI argon at 300 K
+        p = MBParams(m=m, kT=kT)
+        T0, T1 = kT, 2.0 * kT
+        a0, a1 = m / (2 * T0), m / (2 * T1)
+        val = mb_speed_mean(p, lambda v: 1.5 * math.log(a0 / a1)
+                            - (a0 - a1) * v * v)
+        assert abs(val - kl_mb(T0, T1)) < 1e-14
+        assert mb_speed_mean(p, lambda v: v * v) == pytest.approx(
+            3.0 * kT / m, rel=1e-14)
+
     def test_rejects_nonpositive_temperatures(self):
         with pytest.raises(ValueError):
             kl_mb(0.0, 1.0)
@@ -143,6 +174,14 @@ class TestDivergence:
 class TestNegentropy:
     def test_matches_gaussian_closed_form(self):
         p = MBParams(m=2.0, kT=1.5, k=1.0)
+        closed = -1.5 * math.log(2 * math.pi * math.e * p.kT / p.m)
+        assert abs(negentropy_mb(p) - closed) < 1e-8
+
+    @pytest.mark.parametrize("m", [1e-8, 1e-20, 1e8])
+    def test_matches_closed_form_far_from_unit_sigma(self, m):
+        # sigma = sqrt(kT / m) from 1e-4 to 1e10: the rule runs in units
+        # of sigma, so no scale is lost
+        p = MBParams(m=m, kT=1.0)
         closed = -1.5 * math.log(2 * math.pi * math.e * p.kT / p.m)
         assert abs(negentropy_mb(p) - closed) < 1e-8
 
