@@ -27,12 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import coupling, lattice, statmech, waveline
-from .ratfun import Polynomial, PoleEvaluationError, RationalFunction
+from .ratfun import (DEGREE_CAP, Polynomial, PoleEvaluationError,
+                     RationalFunction)
 from .realization import (
     FosterSpec,
-    foster_from_rational,
+    foster_from_realization,
     foster_realize,
-    transfer_function,
+    foster_to_rational,
     verify_lossless_certificate,
 )
 
@@ -250,7 +251,7 @@ def _load_from(params):
 @contextmanager
 def _load_rejected_as_config_error():
     """A well-formed load that cannot be carried (not minimal, or past
-    DEGREE_CAP in a command that works in coefficients) is bad input,
+    DEGREE_CAP where `couple` prints K's coefficients) is bad input,
     not a failed check: exit 2 with one line, not a traceback."""
     try:
         yield
@@ -267,25 +268,33 @@ def _run_synth(params, seed, out_dir):
     load, spec = _load_from(params)
     with _load_rejected_as_config_error():
         report = verify_lossless_certificate(load)
-        Z = transfer_function(load.ss)
-        back = foster_from_rational(Z)
-    dev = abs(back.k0 - spec.k0)
-    for (k1, w1), (k2, w2) in zip(back.tanks, spec.tanks):
-        dev = max(dev, abs(k1 - k2), abs(w1 - w2))
+        back = foster_from_realization(load)
+    # printed output only: past the cap the impedance has no coefficients
+    Z = foster_to_rational(back) if back.state_dim <= DEGREE_CAP else None
     checks = {
         "certificate_lyapunov": _check(report.lyapunov_residual, 1e-8),
         "certificate_gain": _check(report.gain_residual, 1e-8),
-        "foster_round_trip": _check(dev, 1e-9),
+        "foster_round_trip": _check(_foster_distance(back, spec), 1e-9),
     }
     result = {
         "foster": spec.to_text(),
-        "impedance": _rat_text(Z),
-        "impedance_coeffs": Z.to_text(),
+        "impedance": _rat_text(Z) if Z is not None else None,
+        "impedance_coeffs": Z.to_text() if Z is not None else None,
         "state_dim": load.dim,
         "controllability_margin": report.controllability_margin,
         "observability_margin": report.observability_margin,
     }
     return checks, result, []
+
+
+def _foster_distance(a, b):
+    """Largest residue or frequency gap; inf when the branches differ."""
+    if (a.k0 > 0) != (b.k0 > 0) or len(a.tanks) != len(b.tanks):
+        return float("inf")
+    dev = abs(a.k0 - b.k0)
+    for (k1, w1), (k2, w2) in zip(a.tanks, b.tanks):
+        dev = max(dev, abs(k1 - k2), abs(w1 - w2))
+    return dev
 
 
 def _run_couple(params, seed, out_dir):
@@ -443,6 +452,8 @@ def _run_autocorr(params, seed, out_dir):
     if cfg.beta == 0.0:
         raise ConfigError("autocorr needs beta > 0: its checks are "
                           "relative to beta")
+    if params["runs"] < 1:
+        raise ConfigError(f"runs must be >= 1, got {params['runs']}")
     report = lattice.momentum_autocorr(cfg, params["runs"])
     beta = params["beta"]
     lag0_err = abs(report.empirical[0] - beta) / beta

@@ -25,11 +25,9 @@ det(sI - Gamma_bar) = (-1)^n det(-sI - Gamma); their numerators follow
 from the matrix-determinant lemma, h adj(sI - Gamma) g =
 det(sI - Gamma + g h^T) - det(sI - Gamma), one eigendecomposition per
 side. A pole the observable cannot see is cancelled by evaluating the
-numerator on it, so no Leverrier expansion and no numerator root
-finding is run. scattering_K (from the impedance) and
-scattering_K_statespace (a Leverrier resolvent quotient, whose raw
-value is -K since the backward drive enters with the opposite
-orientation) are kept as coefficient oracles.
+numerator on it, so no numerator root finding is run.
+scattering_K maps an impedance's coefficients to K, for the round-trip
+check of a synthesized load.
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from .ratfun import (SNAP_TOL, Polynomial, RationalFunction,
 from .realization import (
     ImproperImpedanceError,
     LosslessRealization,
-    StateSpace,
     foster_from_rational,
     foster_realize,
-    transfer_function,
 )
 
 
@@ -205,22 +201,6 @@ def scattering_K(Z0: RationalFunction, validate=True) -> RationalFunction:
     return RationalFunction(Z0.num - Z0.den, Z0.num + Z0.den)
 
 
-def scattering_K_statespace(pair: CoupledModelPair,
-                            load: LosslessRealization) -> RationalFunction:
-    """Scattering function via the two closed-loop resolvents.
-
-    The quotient of the forward and backward port transfers
-    c0 (sI - Gamma)^{-1} b0 over c0 (sI - Gamma_bar)^{-1} b0 reduces to
-    the reflection coefficient up to overall sign; the sign is fixed
-    here to the outgoing-positive convention so the result coincides
-    with scattering_K(Z0).
-    """
-    b0, c0 = load.ss.b, load.ss.c
-    fwd = transfer_function(StateSpace(pair.gamma, b0, c0))
-    bwd = transfer_function(StateSpace(pair.gamma_bar, b0, c0))
-    return -(fwd / bwd)
-
-
 def observable_transfers(pair: CoupledModelPair, obs: Observable):
     """Forward and backward wave-to-output transfer functions.
 
@@ -256,8 +236,11 @@ def _adjugate_numerator(gamma, gain, h, den):
     """h adj(sI - gamma) gain, given den = det(sI - gamma).
 
     Matrix-determinant lemma: det(sI - gamma + gain h^T) =
-    den(s) (1 + h (sI - gamma)^{-1} gain). The difference is trimmed
-    at 1e-13 of its largest coefficient, as a Leverrier numerator is.
+    den(s) (1 + h (sI - gamma)^{-1} gain). Both determinants are monic
+    and expanded from computed roots, so their difference cancels its
+    top coefficients to rounding when h gain = 0; it is trimmed at
+    1e-13 of its largest coefficient so that the numerator keeps its
+    true degree.
     """
     shifted = Polynomial.from_roots(
         np.linalg.eigvals(gamma - np.outer(gain, h)))
@@ -297,23 +280,9 @@ def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
     return Z
 
 
-def spectrum_to_bath(Phi: RationalFunction):
-    """Synthesize a bath-coupled load whose output spectrum is Phi.
-
-    Chain: spectral factorization, scattering quotient of the factor
-    pair, impedance inversion, partial-fraction extraction,
-    realization, loop closure. Each stage failure is re-raised as a
-    SynthesisStageError naming the stage.
-
-    Returns (load, pair).
-    """
-    chain = run_synthesis(Phi)
-    return chain.load, chain.pair
-
-
 @dataclass(frozen=True, eq=False)
 class SynthesisChain:
-    """Intermediate products of spectrum_to_bath, for reporting."""
+    """Intermediate products of run_synthesis, for reporting."""
 
     spectrum: RationalFunction
     W: RationalFunction
@@ -326,6 +295,13 @@ class SynthesisChain:
 
 
 def run_synthesis(Phi: RationalFunction) -> SynthesisChain:
+    """Synthesize a bath-coupled load whose output spectrum is Phi.
+
+    Chain: spectral factorization, scattering quotient of the factor
+    pair, impedance inversion, partial-fraction extraction,
+    realization, loop closure. Each stage failure is re-raised as a
+    SynthesisStageError naming the stage.
+    """
     def stage(name, fn, *args):
         try:
             return fn(*args)

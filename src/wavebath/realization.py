@@ -11,6 +11,11 @@ so that the stored energy is the plain Euclidean quadratic form: the
 certificate pair becomes  A^T Omega + Omega A = 0, Omega b = c^T  with
 Omega = I. That normalization keeps golden fixtures stable and makes
 the boundary integrator's energy bookkeeping exact.
+
+The way back has two entries. foster_from_realization reads the data
+off the spectrum of an Omega = I realization's skew A, with no
+polynomial in s; foster_from_rational extracts them from an
+impedance's coefficients, which is what inverse synthesis holds.
 """
 
 from __future__ import annotations
@@ -301,30 +306,26 @@ def _pbh_margin(A, v, eigs):
     return float(margin if np.isfinite(margin) else 0.0)
 
 
-def transfer_function(ss: StateSpace) -> RationalFunction:
-    """Resolve c (sI - A)^{-1} b + d as a reduced rational function.
+def foster_from_realization(r: LosslessRealization) -> FosterSpec:
+    """Read the partial-fraction data of an Omega = I load off eig(A).
 
-    Uses the Leverrier iteration: the characteristic polynomial and
-    the adjugate expansion come out of one pass of matrix products, so
-    no symbolic work and no per-frequency solves are needed.
+    A is skew there, so 1j A is Hermitian: eigh gives 1j A = V diag(mu)
+    V^H with V unitary, and c (sI - A)^{-1} b = sum_i (c V)_i (V^H b)_i
+    / (s + 1j mu_i). The poles with |mu| <= SNAP_TOL carry k0; each
+    mu > SNAP_TOL is a tank at omega = mu whose residue is that pole's,
+    real since b = c^T. A normal matrix's eigenproblem is perfectly
+    conditioned (Bauer-Fike with cond(V) = 1), so no polynomial in s is
+    formed and the load size is not limited by coefficients.
     """
-    A, b, c, d = ss.A, ss.b, ss.c, ss.d
-    n = ss.dim
-    B = np.eye(n)
-    den_high = np.empty(n + 1)
-    den_high[0] = 1.0
-    num_high = np.empty(n)
-    for k in range(1, n + 1):
-        num_high[k - 1] = c @ B @ b
-        AB = A @ B
-        a = -np.trace(AB) / k
-        den_high[k] = a
-        B = AB + a * np.eye(n)
-    num = Polynomial(num_high[::-1].copy(), rel_tol=1e-13)
-    den = Polynomial(den_high[::-1].copy(), rel_tol=0.0)
-    if d != 0.0:
-        num = num + den.scaled(d)
-    return RationalFunction(num, den)
+    if r.ss.d != 0.0 or not np.array_equal(r.omega, np.eye(r.dim)):
+        raise ValueError("Foster data are read off the Omega = I "
+                         "realization of a strictly proper load")
+    mu, V = np.linalg.eigh(1j * r.ss.A)
+    res = ((r.ss.c @ V) * (V.conj().T @ r.ss.b)).real
+    origin = np.abs(mu) <= SNAP_TOL
+    tanks = mu > SNAP_TOL
+    return FosterSpec(float(np.sum(res[origin])),
+                      tuple(zip(res[tanks].tolist(), mu[tanks].tolist())))
 
 
 def foster_from_rational(Z: RationalFunction, tol=1e-8) -> FosterSpec:

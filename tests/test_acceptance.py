@@ -18,6 +18,7 @@ import pytest
 from scipy.stats import kstest
 from scipy.integrate import quad
 
+from leverrier import scattering_K_statespace
 from wavebath import lattice, statmech, waveline
 from wavebath.coupling import (
     Observable,
@@ -26,7 +27,6 @@ from wavebath.coupling import (
     observable_transfers,
     run_synthesis,
     scattering_K,
-    scattering_K_statespace,
 )
 from wavebath.ratfun import Polynomial, RationalFunction, is_inner
 from wavebath.realization import (

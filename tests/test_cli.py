@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import wavebath
+import wavebath.cli
 from wavebath.cli import main
+from wavebath.realization import FosterSpec
 
 
 def python(args):
@@ -79,6 +81,36 @@ class TestGoldenOutputs:
         assert code == 0
         assert s["result"]["state_dim"] == 17
         assert s["checks"]["foster_round_trip"]["pass"] is True
+
+    @pytest.mark.parametrize("dim", [27, 31, 41])
+    def test_synth_reads_large_loads_off_the_spectrum(self, tmp_path, dim):
+        # k0 = 1 and unit tanks 0.5 apart; at 41 the impedance's degree
+        # is past DEGREE_CAP, so it is not printed
+        foster = "k0=1; " + "; ".join(f"tank=1,{1 + 0.5 * i}"
+                                      for i in range(dim // 2))
+        code, _, s = run(tmp_path, "synth", "--foster", foster)
+        assert code == 0
+        assert s["result"]["state_dim"] == dim
+        assert s["checks"]["foster_round_trip"]["value"] <= 1e-9
+        printed = s["result"]["impedance"], s["result"]["impedance_coeffs"]
+        if dim > 32:
+            assert printed == (None, None)
+        else:
+            assert None not in printed
+
+    def test_synth_round_trip_counts_tanks(self, tmp_path, monkeypatch):
+        extract = wavebath.cli.foster_from_realization
+
+        def drop_last_tank(load):
+            back = extract(load)
+            return FosterSpec(back.k0, back.tanks[:-1])
+
+        monkeypatch.setattr(wavebath.cli, "foster_from_realization",
+                            drop_last_tank)
+        code, _, s = run(tmp_path, "synth", "--foster",
+                         "k0 = 0.5; tank = 1,2; tank = 1,3")
+        assert code == 1
+        assert s["checks"]["foster_round_trip"]["value"] == float("inf")
 
     def test_invert_infeasible_density_names_stage(self, tmp_path):
         # spectrum with a sign change on the axis cannot be factored
@@ -309,6 +341,14 @@ class TestUsageErrors:
         proc = python(["-m", "wavebath.cli", *argv, "--out",
                        str(tmp_path / "run")])
         assert_usage_error(proc, "beta")
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_empty_ensemble_exits_two_without_traceback(self, tmp_path,
+                                                        runs):
+        proc = python(["-m", "wavebath.cli", "autocorr", "--M", "40",
+                       "--t-max", "10", "--runs", runs, "--out",
+                       str(tmp_path / "run")])
+        assert_usage_error(proc, "runs")
 
     @pytest.mark.parametrize("argv, name", [
         (["autocorr", "--M", "40", "--t-max", "10", "--beta", "0",

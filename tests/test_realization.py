@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leverrier import transfer_function
 from wavebath.ratfun import RationalFunction, is_lossless_pr
 from wavebath.realization import (
     CertificateReport,
@@ -20,10 +21,10 @@ from wavebath.realization import (
     StateSpace,
     autonomous_flow,
     foster_from_rational,
+    foster_from_realization,
     foster_realize,
     foster_to_rational,
     random_foster,
-    transfer_function,
     verify_lossless_certificate,
 )
 
@@ -251,6 +252,72 @@ class TestFosterFromRational:
             for (k1, w1), (k2, w2) in zip(back.tanks, spec.tanks):
                 assert k1 == pytest.approx(k2, rel=1e-8)
                 assert w1 == pytest.approx(w2, rel=1e-8)
+
+
+def ladder(dim):
+    """k0 = 1 (odd dim) and unit tanks at 1, 1.5, 2, ..."""
+    return FosterSpec(float(dim % 2),
+                      tuple((1.0, 1.0 + 0.5 * i) for i in range(dim // 2)))
+
+
+def rotated(r, seed):
+    """(Q A Q^T, Q b, c Q^T) for a random orthogonal Q: same impedance,
+    but A is no longer block diagonal."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(r.dim, r.dim)))[0]
+    ss = StateSpace(Q @ r.ss.A @ Q.T, Q @ r.ss.b, r.ss.c @ Q.T)
+    return LosslessRealization(ss, np.eye(r.dim))
+
+
+class TestFosterFromRealization:
+    @pytest.mark.parametrize("dim", [25, 30, 31, 81])
+    def test_rotated_realization_within_backward_error(self, dim):
+        # Forming Q A Q^T (two products) and eigh are each backward
+        # stable with backward error at most n eps |A|_2 (Higham, ch. 3;
+        # LAPACK Users' Guide 4.7, taking its p(n) as n), so the
+        # computed pairs are exact for a Hermitian 1j A + E with
+        # |E|_2 <= eta = 3 n eps |A|_2. Weyl: each frequency moves by at
+        # most eta. Davis-Kahan: each eigenvector turns by
+        # sin(theta) <= eta / gap, so the residue |v^H b|^2 moves by at
+        # most |b|^2 (2 sin(theta) + sin(theta)^2) <= 3 |b|^2 eta / gap,
+        # plus 2 n eps |b|^2 from rotating b.
+        spec = ladder(dim)
+        r = foster_realize(spec)
+        back = foster_from_realization(rotated(r, dim))
+        eps = np.finfo(float).eps
+        eta = 3 * dim * eps * np.linalg.norm(r.ss.A, 2)
+        spectrum = np.sort(np.linalg.eigvalsh(1j * r.ss.A))
+        gap = np.min(np.diff(spectrum))
+        bb = float(r.ss.b @ r.ss.b)
+        res_tol = bb * (3 * eta / gap + 2 * dim * eps)
+        assert back.state_dim == spec.state_dim
+        assert (back.k0 > 0) == (spec.k0 > 0)
+        assert abs(back.k0 - spec.k0) <= res_tol
+        for (k1, w1), (k2, w2) in zip(back.tanks, spec.tanks):
+            assert abs(w1 - w2) <= eta
+            assert abs(k1 - k2) <= res_tol
+
+    def test_block_realization_round_trips(self):
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            spec = random_foster(rng)
+            back = foster_from_realization(foster_realize(spec))
+            assert back.k0 == pytest.approx(spec.k0, rel=1e-14)
+            assert len(back.tanks) == len(spec.tanks)
+            for (k1, w1), (k2, w2) in zip(back.tanks, spec.tanks):
+                assert k1 == pytest.approx(k2, rel=1e-14)
+                assert w1 == pytest.approx(w2, rel=1e-14)
+
+    def test_other_metric_or_feedthrough_refused(self):
+        # certified in Omega = 2 coordinates: A = 0, Omega b = c
+        other = LosslessRealization(StateSpace([[0.0]], [1.0], [2.0]),
+                                    2.0 * np.eye(1))
+        ss = foster_realize(CAP).ss
+        feedthrough = LosslessRealization(
+            StateSpace(ss.A, ss.b, ss.c, d=1.0), np.eye(1))
+        for r in (other, feedthrough):
+            with pytest.raises(ValueError, match="Omega = I"):
+                foster_from_realization(r)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
