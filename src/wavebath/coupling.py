@@ -13,11 +13,12 @@ The reflection map from the incoming wave to the outgoing wave
 
     K(s) = (Z(s) - 1)/(Z(s) + 1) = -prod_i (s + lam_i)/(s - lam_i),
 
-over lam = eig(Gamma): a finite Blaschke product. In the realization
-foster_realize builds (Omega = I, A skew, b0 = c0^T) the certificate
-is two identities, Gamma_bar = -Gamma^T and Gamma + Gamma^T =
--2 b0 b0^T, so the spectra mirror and Gamma is stable once the load is
-minimal; the coupled pair checks just these and the pole margin.
+over lam = eig(Gamma): a finite Blaschke product. Every
+LosslessRealization is certified at construction (A + A^T = 0,
+b0 = c0^T, d = 0), so the pair's certificate is two identities,
+Gamma_bar = -Gamma^T and Gamma + Gamma^T = -2 b0 b0^T: the spectra
+mirror and Gamma is stable once the load is minimal; the coupled pair
+checks just these and the pole margin.
 
 The observable transfers come from the same algebra: their
 denominators are det(sI - Gamma), expanded from the poles, and
@@ -49,7 +50,8 @@ from .realization import (
 
 
 class InvalidLoadError(ValueError):
-    """Load failed its energy certificate when closing the loops."""
+    """A certified load (A + A^T = 0, b = c^T, d = 0) whose coupled pair
+    fails its identities or its pole margin when closing the loops."""
 
 
 class TrivialObservableError(ValueError):
@@ -165,15 +167,13 @@ class Observable:
 
 
 def close_loops(load: LosslessRealization) -> CoupledModelPair:
-    """Build the forward/backward pair of an Omega = I lossless load.
+    """Build the forward/backward pair of a lossless load.
 
     Forms Gamma = A - b0 c0 and Gamma_bar = A + b0 c0; the pair's
-    constructor is the certificate. A load with another energy metric,
-    or one whose pair fails its identities or its pole margin (a
-    non-minimal load has a mode on the axis), raises InvalidLoadError.
+    constructor is the certificate. A load whose pair fails its
+    identities or its pole margin (a non-minimal load has a mode on the
+    axis) raises InvalidLoadError.
     """
-    if not np.array_equal(load.omega, np.eye(load.dim)):
-        raise InvalidLoadError("close_loops needs the Omega = I realization")
     A, b0, c0 = load.ss.A, load.ss.b, load.ss.c
     outer = np.outer(b0, c0)
     try:
@@ -182,23 +182,20 @@ def close_loops(load: LosslessRealization) -> CoupledModelPair:
         raise InvalidLoadError(str(exc)) from exc
 
 
-def scattering_K(Z0: RationalFunction, validate=True) -> RationalFunction:
+def scattering_K(Z0: RationalFunction) -> RationalFunction:
     """Reflection coefficient K = (Z0 - 1)/(Z0 + 1) = (N - D)/(N + D)
-    of a lossless load Z0 = N/D.
-
-    With validate=True (the default) Z0 must be a strictly proper
-    lossless impedance, which guarantees K inner with K(inf) = -1.
-    validate=False applies the Moebius map to arbitrary rational input
-    (useful for formula-level checks; no inner guarantee).
+    of a strictly proper lossless load Z0 = N/D, which makes K inner
+    with K(inf) = -1.
     """
-    if validate:
-        dn = Z0.num.degree
-        dd = Z0.den.degree
-        if dn is None or dn >= dd:
-            raise ValueError("impedance must be strictly proper")
-        if not is_lossless_pr(Z0):
-            raise ValueError("impedance is not lossless positive-real")
-    return RationalFunction(Z0.num - Z0.den, Z0.num + Z0.den)
+    dn = Z0.num.degree
+    dd = Z0.den.degree
+    if dn is None or dn >= dd:
+        raise ValueError("impedance must be strictly proper")
+    if not is_lossless_pr(Z0):
+        raise ValueError("impedance is not lossless positive-real")
+    # coprime: Z0 is lossless positive-real, so N + D is Hurwitz and
+    # N - D anti-Hurwitz
+    return RationalFunction(Z0.num - Z0.den, Z0.num + Z0.den, reduce=False)
 
 
 def observable_transfers(pair: CoupledModelPair, obs: Observable):
@@ -272,7 +269,10 @@ def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
         raise ImproperImpedanceError(
             f"K(infinity) = {kinf!r}, need -1; impedance would be improper"
         )
-    Z = RationalFunction(K.den + K.num, K.den - K.num)
+    # coprime: K inner with K(inf) = -1 makes D + N and D - N the even
+    # and odd parts of the Hurwitz D (up to sign and a factor 2), whose
+    # roots lie on the axis and interlace (Hermite-Biehler)
+    Z = RationalFunction(K.den + K.num, K.den - K.num, reduce=False)
     if Z.is_zero:
         return Z  # short circuit
     if not is_lossless_pr(Z):

@@ -62,6 +62,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .ratfun import RationalFunction, is_inner
+from .statmech import _fft_autocov
 from .waveline import ReflectionWindowError
 
 _CHUNK = 512  # time-block size for the trig + GEMM evaluation path
@@ -528,21 +529,11 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
 
     p0_runs = _ensemble_series(cfg.dt, T, omega, pc, ps)             # (T, R)
     q0_runs = _ensemble_series(cfg.dt, max_lag + 1, omega, qc, qs)   # (L, R)
-    gamma_hat = _mean_autocov(p0_runs, max_lag)
+    gamma_hat = _fft_autocov(p0_runs, max_lag).mean(axis=1)
     lags = t[: max_lag + 1]
     oracle = autocov_oracle(cfg.c, cfg.beta, lags)
     drift = np.var(q0_runs - q0_runs[0], axis=1)
     return AutocorrReport(lags, gamma_hat, oracle, drift)
-
-
-def _mean_autocov(runs, max_lag):
-    """FFT autocovariance (biased normalization) averaged over columns."""
-    T, n_runs = runs.shape
-    centered = runs - runs.mean(axis=0)
-    size = 2 ** int(np.ceil(np.log2(2 * T)))
-    spec = np.fft.rfft(centered, n=size, axis=0)
-    acov = np.fft.irfft(np.abs(spec) ** 2, n=size, axis=0)[: max_lag + 1]
-    return (acov / T).mean(axis=1)
 
 
 def isolated_site_series(n_sites, c, t_max, dt):

@@ -214,14 +214,25 @@ def autocovariance(series, max_lag, dt=1.0) -> SeriesStats:
             f"series of length {n} too short for max_lag {max_lag} "
             "(need length > 4 * max_lag)"
         )
-    centered = x - x.mean()
-    size = 2 ** int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(centered, n=size)
-    acov = np.fft.irfft(np.abs(spec) ** 2, n=size)[: max_lag + 1] / n
+    acov = _fft_autocov(x, max_lag)
     band = 3.0 * acov[0] / np.sqrt(n)
-    freqs, power = _periodogram(centered, dt)
+    freqs, power = _periodogram(x - x.mean(), dt)
     lags = np.arange(max_lag + 1) * dt
     return SeriesStats(lags, acov, float(band), freqs, power)
+
+
+def _fft_autocov(x, max_lag):
+    """Biased (1/n) autocovariance of x along axis 0, lags 0..max_lag.
+
+    Each column is centered and zero-padded to a power of two at least
+    twice its length, so the FFT's circular correlation is the linear
+    one.
+    """
+    n = x.shape[0]
+    centered = x - x.mean(axis=0)
+    size = 2 ** int(np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(centered, n=size, axis=0)
+    return np.fft.irfft(np.abs(spec) ** 2, n=size, axis=0)[: max_lag + 1] / n
 
 
 def _periodogram(centered, dt):

@@ -14,9 +14,10 @@ convenience: writing the produced outgoing sample as
     e_m = c0 xi_mid - w_m,     xi_mid = (xi_m + xi_{m+1})/2,
 
 the load-energy increment obeys the exact discrete identity
-dE = dt (w_m^2 - e_m^2) via the certificate pair (A^T O + O A = 0,
-O b0 = c0^T), so total energy (line sum + load quadratic + radiated)
-is conserved to roundoff, with no O(dx) bookkeeping residue.
+dE = dt (w_m^2 - e_m^2) via the load's certificate (A + A^T = 0,
+b0 = c0^T, d = 0; load energy |xi|^2 / 2), so total energy (line sum
++ load quadratic + radiated) is conserved to roundoff, with no O(dx)
+bookkeeping residue.
 
 Because the shifts are exact, the line is a pair of delay lines, as
 in digital-waveguide models (J. O. Smith, Physical Audio Signal
@@ -333,7 +334,7 @@ def propagate(field: WaveField, steps: int, boundary: BoundaryCoupler,
     flux = np.zeros(steps + 1)
     np.cumsum(e * e - ws[:steps] * ws[:steps], out=flux[1:])
     energies = (dx * (a0 @ a0 + b0 @ b0 + flux)
-                + 0.5 * np.einsum("mi,ij,mj->m", xis, load.omega, xis)
+                + 0.5 * np.einsum("mi,mi->m", xis, xis)
                 + field.radiated)
     trace = BoundaryTrace(np.arange(steps + 1) * h, xis, ys, ws, wbars,
                           energies, boundary.convention)

@@ -163,11 +163,9 @@ class TestCloseLoops:
             )
 
     def test_invalid_load_rejected(self):
-        bad = LosslessRealization(
-            StateSpace([[0.05]], [1.0], [1.0]), np.eye(1), validate=False
-        )
-        with pytest.raises(InvalidLoadError):
-            close_loops(bad)
+        # A + A^T = 0.1 against max |A| = 0.05: refused before coupling
+        with pytest.raises(ValueError, match="lyapunov 2.000e\\+00"):
+            LosslessRealization(StateSpace([[0.05]], [1.0], [1.0]))
 
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -239,11 +237,11 @@ class TestIdentityCertificate:
             lambda M: eig_calls.append(M.shape) or eigvals(M))
         for spec in (FosterSpec(k0=1.0),
                      FosterSpec(k0=0.5, tanks=((1.0, 2.0), (0.3, 3.1)))):
-            load = foster_realize(spec)
             eig_calls.clear()
-            pair = close_loops(load)
-            # the poles are the one eigendecomposition; no spectrum is
-            # computed a second time to be matched against the first
+            pair = close_loops(foster_realize(spec))
+            # the poles are the one eigendecomposition: the load's
+            # certificate computes no spectrum, and none is computed a
+            # second time to be matched against the first
             assert eig_calls == [pair.gamma.shape]
             assert mirror_residual(pair) == 0.0
 
@@ -279,17 +277,6 @@ class TestIdentityCertificate:
         assert mirror_residual(nudged) == float(
             np.max(np.abs(gamma_bar + pair.gamma.T)))
         assert mirror_residual(nudged) > 0.0
-
-    def test_other_energy_metric_refused(self):
-        # a load certified in Omega = 2 coordinates (A = 0, Omega b = c),
-        # and the capacitor's matrices under a metric they do not satisfy
-        for load in (
-            LosslessRealization(StateSpace([[0.0]], [1.0], [2.0]),
-                                2.0 * np.eye(1)),
-            LosslessRealization(CAP.ss, 2.0 * np.eye(1), validate=False),
-        ):
-            with pytest.raises(InvalidLoadError, match="Omega = I"):
-                close_loops(load)
 
     def test_non_minimal_load_refused_in_one_line(self):
         load = foster_realize(
@@ -335,9 +322,8 @@ class TestIdentityCertificate:
             spectral_factor(not_even)
         assert reductions == []
         K_z = scattering_K(Z)
-        assert len(reductions) == 1
         Z_k = invert_K_to_Z(K)
-        assert len(reductions) == 2
+        assert reductions == []
         assert K_z.close_to(K, tol=1e-12)
         assert Z_k.close_to(Z, tol=1e-9)
 
@@ -358,10 +344,6 @@ class TestScatteringK:
             K = scattering_K(Z)
             assert K.at_infinity() == pytest.approx(-1.0, abs=1e-9)
             assert is_inner(K)
-
-    def test_formula_only_at_unit_impedance(self):
-        K = scattering_K(RationalFunction.constant(1.0), validate=False)
-        assert K.is_zero
 
     def test_non_lossless_rejected(self):
         with pytest.raises(ValueError):
@@ -665,6 +647,8 @@ REDUCE_FALSE_SITES = {
         Polynomial([1.0, -2.0, 0.5]))),
     "spectral_factor": _spectral_factors,
     "foster_to_rational": lambda: _parts(*_Z()),
+    "scattering_K": lambda: _parts(*map(scattering_K, _Z())),
+    "invert_K_to_Z": lambda: _parts(*map(invert_K_to_Z, _K())),
 }
 
 
@@ -673,6 +657,30 @@ def test_reduce_false_site_is_already_reduced(site):
     for num, den in REDUCE_FALSE_SITES[site]():
         out = wavebath.ratfun._cancel_common(num, den)
         assert out[0] is num and out[1] is den
+
+
+def test_loads_pass_runs_no_root_matching(monkeypatch):
+    # the checks of one load in a perfbench `loads` pass, over _SPECS:
+    # every construction on this path is proved coprime beforehand
+    reductions = []
+    cancel = wavebath.ratfun._cancel_common
+    monkeypatch.setattr(
+        wavebath.ratfun, "_cancel_common",
+        lambda num, den: reductions.append(1) or cancel(num, den))
+    rng = np.random.default_rng(5)
+    for spec in _SPECS:
+        load = foster_realize(spec)
+        pair = close_loops(load)
+        for _ in range(3):
+            obs = Observable.build(load, rng.normal(size=load.dim),
+                                   float(rng.normal()))
+            W, Wbar = observable_transfers(pair, obs)
+            assert (W / Wbar).close_to(pair.K, tol=1e-8)
+        chain = run_synthesis(constant_numerator_spectrum(spec))
+        assert chain.impedance.close_to(foster_to_rational(spec), tol=1e-7)
+        back = scattering_K(invert_K_to_Z(chain.K))
+        assert back.close_to(chain.K, tol=1e-8)
+    assert reductions == []
 
 
 class TestSynthesis:

@@ -4,6 +4,9 @@ The small expansions used as oracles ((2s^2+1)/(s^3+s) etc.) were done
 by hand over the common denominator before the code existed.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,15 +119,14 @@ class TestFosterRealize:
         assert r.ss.A.tolist() == [[0.0]]
         assert r.ss.b.tolist() == [1.0]
         assert r.ss.c.tolist() == [1.0]
-        assert r.omega.tolist() == [[1.0]]
         assert r.ss.d == 0.0
+        assert [f.name for f in dataclasses.fields(r)] == ["ss"]
 
     def test_tank_block(self):
         r = foster_realize(TANK)
         assert r.ss.A.tolist() == [[0.0, 1.0], [-1.0, 0.0]]
         assert r.ss.b.tolist() == [0.0, 1.0]
         assert r.ss.c.tolist() == [0.0, 1.0]
-        np.testing.assert_array_equal(r.omega, np.eye(2))
 
     def test_state_dimension(self):
         assert foster_realize(CAP_TANK).dim == 3
@@ -151,18 +153,15 @@ class TestCertificate:
         r = foster_realize(TANK)
         A = r.ss.A.copy()
         A[0, 0] += 1e-3
-        bad = LosslessRealization(
-            StateSpace(A, r.ss.b, r.ss.c), r.omega, validate=False
-        )
-        rep = verify_lossless_certificate(bad)
-        assert rep.lyapunov_residual == pytest.approx(2e-3, rel=0.5)
-        assert not rep.ok
+        with pytest.raises(ValueError, match="lyapunov") as err:
+            LosslessRealization(StateSpace(A, r.ss.b, r.ss.c))
+        lyap = float(re.search(r"lyapunov (\S+),", str(err.value))[1])
+        assert lyap == pytest.approx(2e-3, rel=0.5)
+        assert "gain 0.000e+00, feedthrough 0.000e+00" in str(err.value)
 
     def test_constructor_rejects_bad_certificate(self):
         with pytest.raises(ValueError):
-            LosslessRealization(
-                StateSpace([[1.0]], [1.0], [1.0]), np.eye(1)
-            )
+            LosslessRealization(StateSpace([[1.0]], [1.0], [1.0]))
 
     def test_minimality_margins_positive(self):
         rep = verify_lossless_certificate(foster_realize(CAP_TANK))
@@ -266,7 +265,7 @@ def rotated(r, seed):
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(r.dim, r.dim)))[0]
     ss = StateSpace(Q @ r.ss.A @ Q.T, Q @ r.ss.b, r.ss.c @ Q.T)
-    return LosslessRealization(ss, np.eye(r.dim))
+    return LosslessRealization(ss)
 
 
 class TestFosterFromRealization:
@@ -309,15 +308,18 @@ class TestFosterFromRealization:
                 assert w1 == pytest.approx(w2, rel=1e-14)
 
     def test_other_metric_or_feedthrough_refused(self):
-        # certified in Omega = 2 coordinates: A = 0, Omega b = c
-        other = LosslessRealization(StateSpace([[0.0]], [1.0], [2.0]),
-                                    2.0 * np.eye(1))
-        ss = foster_realize(CAP).ss
-        feedthrough = LosslessRealization(
-            StateSpace(ss.A, ss.b, ss.c, d=1.0), np.eye(1))
-        for r in (other, feedthrough):
-            with pytest.raises(ValueError, match="Omega = I"):
-                foster_from_realization(r)
+        # certified only in Omega = 2 coordinates (A = 0, Omega b = c),
+        # or with a feedthrough: neither is a LosslessRealization, so no
+        # consumer sees one. The coupled pair has no place for d, and
+        # close_loops would return the poles of the d = 0 load
+        # (-1.755, -0.123 +- 0.745j) for the second.
+        ss = foster_realize(FosterSpec.from_text("k0=1; tank=0.5,1")).ss
+        for bad, residual in ((StateSpace([[0.0]], [1.0], [2.0]),
+                               "gain 5.000e-01"),
+                              (StateSpace(ss.A, ss.b, ss.c, d=1.0),
+                               "feedthrough 1.000e+00")):
+            with pytest.raises(ValueError, match=re.escape(residual)):
+                LosslessRealization(bad)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

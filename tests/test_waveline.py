@@ -55,7 +55,6 @@ def _reference_propagate(field, steps, boundary, xi0=None):
     load, obs = boundary.load, boundary.obs
     S, g = boundary.step_matrix, boundary.input_matrix
     c0 = load.ss.c
-    om = load.omega
     h = boundary.dt
     sign = 1.0 if boundary.convention == "line" else -1.0
 
@@ -73,7 +72,7 @@ def _reference_propagate(field, steps, boundary, xi0=None):
         ws[m] = a[0]
         ys[m] = obs.h @ xi_now + 2.0 * obs.d * a[0]
         energies[m] = (
-            dx * (a @ a + b @ b) + 0.5 * (xi_now @ om @ xi_now) + radiated
+            dx * (a @ a + b @ b) + 0.5 * (xi_now @ xi_now) + radiated
         )
 
     record(0, xi)
