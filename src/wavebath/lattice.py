@@ -37,9 +37,11 @@ re-deriving them numerically:
     reversed cumulative sum per draw;
   * the orthonormal DST-I is one real FFT of the odd extension;
   * center-site series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)]
-    on the uniform time grid reuse one block of trig tables: each
-    later block of time samples rotates the weights by its start
-    phase (angle addition) instead of evaluating fresh trig;
+    on the uniform time grid reuse one half-block of trig tables: each
+    block of time samples rotates the weights by the phase of its
+    middle sample (angle addition) instead of evaluating fresh trig,
+    and serves the samples on both sides of the middle from the same
+    table rows, cos being even and sin odd;
   * the center row of the sine basis, proportional to sin(pi k / 2),
     vanishes on every even mode, so p0 and q0 alone need only the odd
     half of the spectrum (the neighbours q_{-1}, q_{+1} need all of it).
@@ -65,7 +67,7 @@ from .ratfun import RationalFunction, is_inner
 from .statmech import _fft_autocov
 from .waveline import ReflectionWindowError
 
-_CHUNK = 512  # time-block size for the trig + GEMM evaluation path
+_CHUNK = 512  # cap on the half-width h of a 2h + 1 sample trig-GEMM block
 
 
 @dataclass(frozen=True)
@@ -286,30 +288,48 @@ def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
 
     t runs over the uniform grid m dt, m = 0..n_samples-1; weight_* have
     one column per requested series. Time is processed in blocks of
-    _CHUNK samples whose accumulation runs as matrix products. The trig
-    tables cos(omega tau), sin(omega tau) are built once, for the
-    offsets tau of one block; the block starting at t0 instead rotates
-    the weights by its start phase (angle addition),
+    2h + 1 samples around a middle sample m, whose accumulation runs as
+    matrix products. The trig tables cos(omega tau), sin(omega tau) are
+    built once, for the offsets tau = j dt, j = 0..h; the block around
+    t_m = m dt instead rotates the weights by its middle phase (angle
+    addition),
 
-        Wc' = Wc cos(omega t0) + Ws sin(omega t0)
-        Ws' = Ws cos(omega t0) - Wc sin(omega t0),
+        Wc' = Wc cos(omega t_m) + Ws sin(omega t_m)
+        Ws' = Ws cos(omega t_m) - Wc sin(omega t_m),
 
-    so its series are cos(omega tau) Wc' + sin(omega tau) Ws'. Trig
-    work is _CHUNK n + (n_samples / _CHUNK) n evaluations instead of
-    n_samples n.
+    and forms C = cos(omega tau) Wc', S = sin(omega tau) Ws'. cos is
+    even and sin odd, so one pair of (h + 1)-row products serves both
+    sides of the middle:
+
+        out[m + j] = C_j + S_j,    out[m - j] = C_j - S_j.
+
+    The half-width h = min(_CHUNK, isqrt(n_samples n_series),
+    (n_samples - 1) // 2) comes from the call itself, so short runs of
+    few series build no more table than they use. Trig work is
+    (h + 1) n + n_samples n / (2h + 1) evaluations instead of
+    n_samples n, and the GEMMs take about n_samples table rows in all
+    instead of 2 n_samples.
     """
-    block = min(_CHUNK, n_samples)
-    phase = np.outer(np.arange(block) * dt, omega)
+    n_series = weight_cos.shape[1]
+    half = min(_CHUNK, math.isqrt(n_samples * n_series), (n_samples - 1) // 2)
+    phase = np.outer(np.arange(half + 1) * dt, omega)
     cos_tab, sin_tab = np.cos(phase), np.sin(phase)
-    out = np.empty((n_samples, weight_cos.shape[1]))
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        start = omega * (lo * dt)
-        c0, s0 = np.cos(start)[:, None], np.sin(start)[:, None]
+    even, odd = np.empty((2, half + 1, n_series))
+    out = np.empty((n_samples, n_series))
+    for lo in range(0, n_samples, 2 * half + 1):
+        # a partial last block is split about its own middle
+        size = min(2 * half + 1, n_samples - lo)
+        back = (size - 1) // 2
+        mid = lo + back
+        fwd = size - back
+        mid_phase = omega * (mid * dt)
+        c0, s0 = np.cos(mid_phase)[:, None], np.sin(mid_phase)[:, None]
         wc = c0 * weight_cos + s0 * weight_sin
         ws = c0 * weight_sin - s0 * weight_cos
-        np.matmul(cos_tab[: hi - lo], wc, out=out[lo:hi])
-        out[lo:hi] += sin_tab[: hi - lo] @ ws
+        np.matmul(cos_tab[:fwd], wc, out=even[:fwd])
+        np.matmul(sin_tab[:fwd], ws, out=odd[:fwd])
+        np.add(even[:fwd], odd[:fwd], out=out[mid:mid + fwd])
+        np.subtract(even[back:0:-1], odd[back:0:-1], out=out[lo:mid])
     return out
 
 

@@ -221,18 +221,33 @@ def autocovariance(series, max_lag, dt=1.0) -> SeriesStats:
     return SeriesStats(lags, acov, float(band), freqs, power)
 
 
+def _fft_length(n):
+    """Smallest 2^a 3^b >= n: an FFT length of radix-2 and -3 passes only."""
+    best, power3 = 1 << (n - 1).bit_length(), 1
+    while power3 < best:
+        need = -(-n // power3)                     # ceil(n / 3^b)
+        best = min(best, power3 << (need - 1).bit_length())
+        power3 *= 3
+    return best
+
+
 def _fft_autocov(x, max_lag):
     """Biased (1/n) autocovariance of x along axis 0, lags 0..max_lag.
 
-    Each column is centered and zero-padded to a power of two at least
-    twice its length, so the FFT's circular correlation is the linear
-    one.
+    The series are centered and transposed once, so each transform runs
+    along a contiguous row. Each is zero-padded to the smallest 2^a 3^b
+    length at least n + max_lag: circular lag k also picks up linear
+    lag k - length, which is at most -n, beyond the series, for
+    k <= max_lag, so the FFT's circular correlation is the linear one
+    up to max_lag.
     """
     n = x.shape[0]
-    centered = x - x.mean(axis=0)
-    size = 2 ** int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(centered, n=size, axis=0)
-    return np.fft.irfft(np.abs(spec) ** 2, n=size, axis=0)[: max_lag + 1] / n
+    centered = x.T.copy()
+    centered -= centered.mean(axis=-1, keepdims=True)
+    size = _fft_length(n + max_lag)
+    spec = np.fft.rfft(centered, n=size)
+    power = spec.real ** 2 + spec.imag ** 2
+    return np.fft.irfft(power, n=size)[..., : max_lag + 1].T / n
 
 
 def _periodogram(centered, dt):

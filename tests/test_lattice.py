@@ -29,7 +29,7 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import _dst1, _ensemble_series, _j0_nodes
+from wavebath.lattice import _CHUNK, _dst1, _ensemble_series, _j0_nodes
 from wavebath.ratfun import RationalFunction
 
 
@@ -458,11 +458,17 @@ class TestMomentumAutocorr:
                            for k in range(rep.lags.size)])
         assert np.max(np.abs(rep.empirical - direct)) < 1e-12
 
-    def test_odd_modes_match_all_mode_evaluation(self):
+    # the second config's 1201 samples cross several blocks of the series
+    # kernel and end on a partial one
+    @pytest.mark.parametrize("cfg", [
+        ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5, t_max=15.0,
+                    seed=3),
+        ChainConfig(half_width=64, c=1.0, beta=0.7, dt=0.05, t_max=60.0,
+                    seed=3),
+    ], ids=["one-block", "many-blocks"])
+    def test_odd_modes_match_all_mode_evaluation(self, cfg):
         # p0 and q0 summed over every mode by direct trig; the even modes
         # have a node at the center and contribute only roundoff
-        cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
-                          t_max=15.0, seed=3)
         n_runs = 4
         rep = momentum_autocorr(cfg, n_runs)
         n, omega = cfg.n_sites, cfg.mode_frequencies()
@@ -505,13 +511,18 @@ class TestMomentumAutocorr:
 
 
 class TestEnsembleSeries:
-    @pytest.mark.parametrize("t_max", [9.0, 1900.0])
-    def test_block_rotation_matches_direct_trig(self, t_max):
-        # 37 samples fit in one block; 7601 take 15 blocks, the last partial
+    # 1-3 samples give one-sample and one-row blocks; 37 fits in one block;
+    # 1024-1026 sit around 2 _CHUNK + 1; for 200 series 2049-2051 end one
+    # sample short of, on, and one past the second capped block, and 7601
+    # is seven capped blocks and a partial one
+    @pytest.mark.parametrize("n_series", [1, 4, 200])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 37, 2 * _CHUNK,
+                                           2 * _CHUNK + 1, 2 * _CHUNK + 2,
+                                           2049, 2050, 2051, 7601])
+    def test_block_rotation_matches_direct_trig(self, n_samples, n_series):
         n, dt = 401, 0.25
         omega = 2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1)))
-        Wc, Ws = np.random.default_rng(4).standard_normal((2, n, 3))
-        n_samples = int(t_max / dt) + 1
+        Wc, Ws = np.random.default_rng(4).standard_normal((2, n, n_series))
         got = _ensemble_series(dt, n_samples, omega, Wc, Ws)
         phase = np.outer(np.arange(n_samples) * dt, omega)
         direct = np.cos(phase) @ Wc + np.sin(phase) @ Ws

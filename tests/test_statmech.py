@@ -22,6 +22,7 @@ from wavebath.statmech import (
     periodicity_probe,
     sample_mb,
 )
+from wavebath.statmech import _fft_autocov
 
 
 class TestSpeedPdf:
@@ -236,6 +237,20 @@ class TestAutocovariance:
         rng = np.random.default_rng(3)
         stats = autocovariance(rng.standard_normal(200), 5, dt=0.25)
         assert np.array_equal(stats.lags, np.arange(6) * 0.25)
+
+    # n = 50: n + max_lag = 72 and 96 are 2^a 3^b lengths, padded to
+    # exactly; 73 and 97 sit one above them, 95 one below; 49 = n - 1
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)])
+    @pytest.mark.parametrize("max_lag", [0, 22, 23, 45, 46, 47, 49])
+    def test_fft_matches_direct_sum(self, shape, max_lag):
+        x = np.random.default_rng(11).standard_normal(shape)
+        n = x.shape[0]
+        got = _fft_autocov(x, max_lag)
+        centered = x - x.mean(axis=0)
+        direct = np.array([np.sum(centered[: n - k] * centered[k:], axis=0)
+                           for k in range(max_lag + 1)]) / n
+        assert got.shape == direct.shape
+        assert np.all(np.abs(got - direct) <= 1e-12 * direct[0])
 
     def test_csv_exports(self):
         rng = np.random.default_rng(8)
