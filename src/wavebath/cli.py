@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -353,19 +354,18 @@ def _run_wave_sim(params, seed, out_dir, convention):
         raise ConfigError(str(exc)) from None
 
     with _load_rejected_as_config_error():
-        pair = coupling.close_loops(load)
-        obs = coupling.Observable.build(load, load.ss.c, 0.0)
-    boundary = waveline.BoundaryCoupler(load, pair, obs, cfg.dt, cfg.far_end,
-                                        cfg.reflection_free, convention)
+        boundary = waveline.BoundaryCoupler.from_config(
+            cfg, convention=convention)
     try:
         _, trace = waveline.propagate(field, cfg.n_steps, boundary)
     except waveline.ReflectionWindowError as exc:
         raise ConfigError(str(exc)) from None
 
-    fwd, _ = waveline.reduced_forward(pair, obs, trace.w,
+    fwd, _ = waveline.reduced_forward(boundary.pair, boundary.obs, trace.w,
                                       np.zeros(load.dim), cfg.dt)
-    bwd, _ = waveline.reduced_backward(pair, obs, trace.w_bar, trace.xi[-1],
-                                       cfg.dt, convention=convention)
+    bwd, _ = waveline.reduced_backward(boundary.pair, boundary.obs,
+                                       trace.w_bar, trace.xi[-1], cfg.dt,
+                                       convention=convention)
     scale = max(float(np.max(np.abs(trace.xi))), 1e-30)
     checks = {
         "energy_drift_per_time": _check(waveline.energy_drift(trace), 1e-9),
@@ -382,7 +382,7 @@ def _run_wave_sim(params, seed, out_dir, convention):
     }
     window = _parse_window(params["window"])
     if window is not None:
-        expected = float(np.max(pair.poles.real))
+        expected = float(np.max(boundary.pair.poles.real))
         try:
             rate = waveline.decay_rate_probe(trace, window)
         except (waveline.ContaminatedWindowError,
@@ -407,6 +407,11 @@ def _run_lattice_sim(params, seed, out_dir):
         )
     except (ValueError, lattice.ReflectionWindowError) as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.n_steps < 2:
+        # langevin_residual differences p0 over three samples
+        raise ConfigError(
+            f"t_max = {cfg.t_max} holds one step of dt = {cfg.dt}; the "
+            "Langevin order check needs at least two")
     state = lattice.sample_invariant(cfg)
     trace = lattice.integrate(state, cfg)
     h0 = lattice.chain_energy(state, cfg)
@@ -415,11 +420,7 @@ def _run_lattice_sim(params, seed, out_dir):
     denom = max(abs(h0), 1e-30)
 
     res_full = lattice.langevin_residual(trace, cfg.c)
-    half = lattice.ChainConfig(
-        half_width=params["M"], c=params["c"], beta=params["beta"],
-        dt=params["dt"] / 2.0, t_max=params["t_max"], seed=seed,
-        guarded=params["guarded"],
-    )
+    half = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
     res_half = lattice.langevin_residual(lattice.integrate(state, half), cfg.c)
     order = math.log2(res_full / res_half) if res_half > 0 else float("inf")
 
@@ -589,13 +590,22 @@ _RUNNERS = {
 
 
 def _run_report(args):
-    if not args.run_dirs:
+    out_dir = Path(args.out) if args.out else Path(".")
+    # a shell glob over the output directory picks up the table itself
+    own_table = (out_dir / "report.json").resolve()
+    run_dirs = [Path(d) for d in args.run_dirs
+                if Path(d).resolve() != own_table]
+    if not run_dirs:
         print("report: no run directories given", file=sys.stderr)
         return 2
+    for d in run_dirs:
+        if d.exists() and not d.is_dir():
+            print(f"report: {d} is not a run directory", file=sys.stderr)
+            return 2
     rows = []
     missing = []
-    for d in args.run_dirs:
-        path = Path(d) / "summary.json"
+    for d in run_dirs:
+        path = d / "summary.json"
         if not path.is_file():
             missing.append(str(path))
             continue
@@ -611,7 +621,6 @@ def _run_report(args):
         "missing": missing,
         "ok": bool(not missing and all(s.get("ok") for s in rows)),
     }
-    out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(table, indent=2, sort_keys=True) + "\n")

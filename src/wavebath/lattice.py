@@ -36,12 +36,14 @@ re-deriving them numerically:
     factor of the second-difference matrix, which telescopes to one
     reversed cumulative sum per draw;
   * the orthonormal DST-I is one real FFT of the odd extension;
-  * center-site series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)]
-    on the uniform time grid reuse one half-block of trig tables: each
-    block of time samples rotates the weights by the phase of its
-    middle sample (angle addition) instead of evaluating fresh trig,
-    and serves the samples on both sides of the middle from the same
-    table rows, cos being even and sin odd;
+  * every series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)] on the
+    uniform time grid (center-site traces, the ensemble, the isolated
+    chain and the J0 oracle) goes through _ensemble_series, which
+    reuses one half-block of trig tables: each block of time samples
+    rotates the weights by the phase of its middle sample (angle
+    addition) instead of evaluating fresh trig, and serves the samples
+    on both sides of the middle from the same table rows, cos being
+    even and sin odd;
   * the center row of the sine basis, proportional to sin(pi k / 2),
     vanishes on every even mode, so p0 and q0 alone need only the odd
     half of the spectrum (the neighbours q_{-1}, q_{+1} need all of it).
@@ -52,7 +54,8 @@ reports are reproducible bit for bit.
 
 Everything here runs on numpy alone. The autocovariance oracle's J0 is
 Bessel's integral under a midpoint rule sized from its largest
-argument, not a library special function.
+argument, not a library special function; the rule is a cosine series
+in t with one frequency per node, so the same trig kernel evaluates it.
 """
 
 from __future__ import annotations
@@ -487,30 +490,31 @@ def _j0_nodes(x_max):
     return n + n % 2
 
 
-_J0_TABLE = 1 << 18   # phase-table entries per block: memory stays flat
-
-
-def autocov_oracle(c, beta, lags):
-    """beta * J0(2 c t): the classical closed form of the infinite chain
-    (Rubin 1963; Ford, Kac & Mazur 1965).
+def autocov_oracle(c, beta, dt, n_lags):
+    """beta * J0(2 c t) on the lag grid t = m dt, m = 0..n_lags-1: the
+    classical closed form of the infinite chain (Rubin 1963; Ford, Kac &
+    Mazur 1965).
 
     J0 is Bessel's integral J0(x) = (1/pi) integral_0^pi cos(x sin theta)
     d theta (Watson, Bessel Functions, sec. 2.2). Its integrand is periodic
     and analytic, so the midpoint rule converges geometrically once the
-    node count passes x/2; _j0_nodes sizes it from the largest argument
-    of the call. The integrand is symmetric about pi/2, so only the nodes
-    in [0, pi/2] are evaluated, and lags go through in blocks of at most
-    _J0_TABLE phase entries.
+    node count passes x/2; _j0_nodes sizes it from the largest lag. The
+    integrand is symmetric about pi/2, so the rule is a mean over the
+    nodes s_k = sin theta_k in [0, pi/2]: a cosine series in t with
+    frequencies 2 c s_k and equal weights, which _ensemble_series
+    evaluates like every other series on a uniform grid. Lag 0 is set
+    to J0(0) = 1, which the rule gives exactly but the summation only
+    to roundoff.
     """
-    lags = np.asarray(lags, dtype=float)
-    x = np.abs(2.0 * c * lags.ravel())
-    n = _j0_nodes(float(x.max()) if x.size else 0.0)
-    s = np.sin((np.arange(n // 2) + 0.5) * (np.pi / n))
-    out = np.empty(x.size)
-    step = max(1, _J0_TABLE // s.size)
-    for lo in range(0, x.size, step):
-        out[lo:lo + step] = np.cos(np.outer(x[lo:lo + step], s)).mean(axis=1)
-    return beta * out.reshape(lags.shape)
+    if n_lags < 1:
+        raise ValueError("need at least one lag")
+    n = _j0_nodes(2.0 * c * dt * (n_lags - 1))
+    omega = 2.0 * c * np.sin((np.arange(n // 2) + 0.5) * (np.pi / n))
+    weight = np.full((omega.size, 1), 2.0 / n)
+    out = _ensemble_series(dt, n_lags, omega, weight,
+                           np.zeros_like(weight))[:, 0]
+    out[0] = 1.0
+    return beta * out
 
 
 def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
@@ -551,7 +555,7 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     q0_runs = _ensemble_series(cfg.dt, max_lag + 1, omega, qc, qs)   # (L, R)
     gamma_hat = _fft_autocov(p0_runs, max_lag).mean(axis=1)
     lags = t[: max_lag + 1]
-    oracle = autocov_oracle(cfg.c, cfg.beta, lags)
+    oracle = autocov_oracle(cfg.c, cfg.beta, cfg.dt, max_lag + 1)
     drift = np.var(q0_runs - q0_runs[0], axis=1)
     return AutocorrReport(lags, gamma_hat, oracle, drift)
 
@@ -570,6 +574,7 @@ def isolated_site_series(n_sites, c, t_max, dt):
     k = np.arange(1, n_sites + 1)
     weight = (2.0 / (n_sites + 1)) * np.sin(np.pi * k / (n_sites + 1)) ** 2
     omega = 2.0 * c * np.sin(np.pi * k / (2.0 * (n_sites + 1)))
-    t = np.arange(int(np.floor(t_max / dt + 1e-12)) + 1) * dt
-    p_end = np.cos(np.outer(t, omega)) @ weight
-    return t, p_end
+    n_t = int(np.floor(t_max / dt + 1e-12)) + 1
+    p_end = _ensemble_series(dt, n_t, omega, weight[:, None],
+                             np.zeros((n_sites, 1)))[:, 0]
+    return np.arange(n_t) * dt, p_end

@@ -198,17 +198,22 @@ class TestSimulationRuns:
 
 
 class TestDeterminism:
-    def test_identical_seed_identical_bytes(self, tmp_path):
-        argv = ["line-sim", "--foster", "k0 = 0.5; tank = 1,2",
-                "--init", "noise", "--x-max", "4", "--t-max", "3",
-                "--seed", "11"]
+    @pytest.mark.parametrize("argv, code, files", [
+        (["line-sim", "--foster", "k0 = 0.5; tank = 1,2", "--init", "noise",
+          "--x-max", "4", "--t-max", "3", "--seed", "11"], 0,
+         ["trace.csv", "summary.json"]),
+        # four runs fail the oracle check honestly; the bytes still repeat
+        (["autocorr", "--M", "40", "--t-max", "30", "--runs", "4",
+          "--seed", "1"], 1,
+         ["autocorr.csv", "wave_spectrum.csv", "summary.json"]),
+    ], ids=["line-sim", "autocorr"])
+    def test_identical_seed_identical_bytes(self, tmp_path, argv, code, files):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert main([*argv, "--out", str(a)]) == 0
-        assert main([*argv, "--out", str(b)]) == 0
-        assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
-        assert (a / "summary.json").read_bytes() == \
-            (b / "summary.json").read_bytes()
+        assert main([*argv, "--out", str(a)]) == code
+        assert main([*argv, "--out", str(b)]) == code
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_different_seed_different_trace(self, tmp_path):
         argv = ["line-sim", "--foster", "k0=1", "--init", "noise",
@@ -354,6 +359,8 @@ class TestUsageErrors:
         (["autocorr", "--M", "40", "--t-max", "10", "--beta", "0",
           "--runs", "4"], "beta"),
         (["mb-stats", "--kT", "inf", "--n", "100"], "kT"),
+        # one step of dt leaves langevin_residual two samples
+        (["lattice-sim", "--M", "10", "--dt", "1", "--t-max", "1"], "dt"),
     ])
     def test_zero_or_infinite_scale_exits_two_without_traceback(
             self, tmp_path, argv, name):
@@ -513,6 +520,29 @@ class TestReport:
 
     def test_no_directories_is_usage_error(self, capsys):
         assert main(["report"]) == 2
+
+    def test_second_report_skips_its_own_table(self, tmp_path, capsys):
+        # `report runs/* --out runs` run twice: the glob now holds the
+        # report.json the first run wrote
+        self.make_runs(tmp_path)
+        for _ in range(2):
+            entries = [str(p) for p in sorted(tmp_path.iterdir())]
+            assert main(["report", *entries, "--out", str(tmp_path)]) == 0
+        table = json.loads((tmp_path / "report.json").read_text())
+        assert [r["id"] for r in table["runs"]] == ["chain", "loops"]
+        assert table["missing"] == []
+        assert "missing summary" not in capsys.readouterr().err
+
+    def test_file_argument_is_usage_error(self, tmp_path, capsys):
+        a, _ = self.make_runs(tmp_path)
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not a run\n")
+        out = tmp_path / "out"
+        assert main(["report", str(a), str(notes), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().count("\n") == 0
+        assert "notes.txt" in err
+        assert not (out / "report.json").exists()
 
     def test_failed_run_propagates(self, tmp_path):
         a, _ = self.make_runs(tmp_path)

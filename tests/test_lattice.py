@@ -379,12 +379,12 @@ def legendre_oracle(c, beta, lags):
 
 class TestAutocovOracle:
     def test_lag_zero_is_beta(self):
-        assert autocov_oracle(1.0, 1.7, [0.0])[0] == pytest.approx(1.7, abs=1e-13)
+        assert autocov_oracle(1.0, 1.7, 0.25, 1)[0] == pytest.approx(1.7, abs=1e-13)
 
     def test_agrees_with_bessel_closed_form(self):
         # the acceptance-07 lag range: c = 1, lags 0..1000 at dt = 0.25
         lags = 0.25 * np.arange(4001)
-        got = autocov_oracle(1.0, 2.1, lags)
+        got = autocov_oracle(1.0, 2.1, 0.25, lags.size)
         assert np.max(np.abs(got - legendre_oracle(1.0, 2.1, lags))) < 1e-10
 
     @pytest.mark.parametrize("dt, c", [(0.25, 1.0), (2.5, 1.0), (0.5, 0.7)],
@@ -393,7 +393,7 @@ class TestAutocovOracle:
     def test_matches_scipy_j0(self, dt, c):
         # 4001 lags: x = 2ct up to 2000 (acceptance 07) and up to 20000
         lags = dt * np.arange(4001)
-        got = autocov_oracle(c, 2.1, lags)
+        got = autocov_oracle(c, 2.1, dt, lags.size)
         assert np.max(np.abs(got - 2.1 * j0(2.0 * c * lags))) <= 1e-13
 
     @pytest.mark.parametrize("t_max", [0.0, 1e-9, 0.05, 0.5, 2.0])
@@ -401,17 +401,12 @@ class TestAutocovOracle:
         # N = x/2 + 6 x^{1/3} alone would give no node at x = 0 and two
         # at x = 1e-9; the floor keeps at least 16, and every count is
         # even so the nodes pair up about pi/2
-        lags = np.linspace(0.0, t_max, 41)
+        lags = (t_max / 40) * np.arange(41)
         n = _j0_nodes(2.0 * t_max)
         assert n >= 16 and n % 2 == 0
-        got = autocov_oracle(1.0, 1.0, lags)
+        got = autocov_oracle(1.0, 1.0, t_max / 40, lags.size)
         assert np.max(np.abs(got - j0(2.0 * lags))) <= 1e-15
         assert got[0] == 1.0
-
-    def test_keeps_the_shape_of_its_lags(self):
-        assert autocov_oracle(1.0, 1.0, 0.0).shape == ()
-        assert autocov_oracle(1.0, 1.0, np.zeros((2, 3))).shape == (2, 3)
-        assert autocov_oracle(1.0, 1.0, []).shape == (0,)
 
 
 @pytest.fixture(scope="module")
@@ -549,9 +544,12 @@ class TestIsolatedSeries:
         assert p[0] == pytest.approx(1.0, abs=1e-13)
         assert t[1] == 0.1
 
-    def test_matches_direct_mode_sum(self):
-        n, c = 4, 0.7
-        t, p = isolated_site_series(n, c, 8.0, 0.05)
+    @pytest.mark.parametrize("n, c, t_max, dt", [
+        (4, 0.7, 8.0, 0.05), (3, 1.0, 400.0, 0.25), (8, 1.0, 400.0, 0.25),
+    ], ids=["short", "acceptance-09-n3", "acceptance-09-n8"])
+    def test_matches_direct_mode_sum(self, n, c, t_max, dt):
+        # acceptance 09 counts lines in the n = 3..8 series on this grid
+        t, p = isolated_site_series(n, c, t_max, dt)
         k = np.arange(1, n + 1)
         w = 2.0 * c * np.sin(np.pi * k / (2 * (n + 1)))
         amp = (2.0 / (n + 1)) * np.sin(np.pi * k / (n + 1)) ** 2
