@@ -609,7 +609,13 @@ def _run_report(args):
         if not path.is_file():
             missing.append(str(path))
             continue
-        summary = json.loads(path.read_text())
+        try:
+            summary = json.loads(path.read_text())
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            summary = None
+        if not isinstance(summary, dict):
+            print(f"report: {path} is not a JSON object", file=sys.stderr)
+            return 2
         rows.append(summary)
     rows.sort(key=lambda s: s.get("id", ""))
     table = {

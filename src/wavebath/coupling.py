@@ -269,15 +269,11 @@ def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
         raise ImproperImpedanceError(
             f"K(infinity) = {kinf!r}, need -1; impedance would be improper"
         )
-    # coprime: K inner with K(inf) = -1 makes D + N and D - N the even
-    # and odd parts of the Hurwitz D (up to sign and a factor 2), whose
-    # roots lie on the axis and interlace (Hermite-Biehler)
-    Z = RationalFunction(K.den + K.num, K.den - K.num, reduce=False)
-    if Z.is_zero:
-        return Z  # short circuit
-    if not is_lossless_pr(Z):
-        raise ValueError("inverted impedance failed the lossless test")
-    return Z
+    # coprime and lossless: K inner with K(inf) = -1 makes D + N and
+    # D - N the even and odd parts of the Hurwitz D (up to sign and a
+    # factor 2), whose roots lie on the axis and interlace
+    # (Hermite-Biehler); foster_from_rational and scattering_K certify Z
+    return RationalFunction(K.den + K.num, K.den - K.num, reduce=False)
 
 
 @dataclass(frozen=True, eq=False)

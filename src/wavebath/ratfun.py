@@ -18,6 +18,9 @@ module keeps the conventions in one place:
 The symmetry predicates read closed forms off the reduced (num, den)
 and form no product: inner iff num = +-den(-s) over a stable den, odd
 iff one of num, den is even and the other odd, even iff both are even.
+The lossless test reads the Foster data (foster_data): by Foster's
+reactance theorem, simple axis poles with positive residues put the
+zeros on the axis, interlaced, so it finds no zeros.
 
 Degrees are capped at ``DEGREE_CAP``; operations that would exceed
 the cap raise ``DegreeCapError`` instead of silently producing
@@ -37,6 +40,10 @@ MATCH_TOL = 1e-7
 # Relative distance from the imaginary axis below which a root is
 # treated as lying on the axis.
 SNAP_TOL = 1e-8
+
+# Relative tolerance of the parity and inner tests, and the floor of a
+# lossless impedance's residues.
+SYMMETRY_TOL = 1e-8
 
 
 class DegreeCapError(ValueError):
@@ -609,12 +616,12 @@ def _as_rational(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
 
 
-def _has_parity(p, parity, tol):
+def _has_parity(p, parity):
     """Whether p's coefficients of the other parity (0 even, 1 odd)
-    vanish to tol of its largest coefficient."""
+    vanish to SYMMETRY_TOL of its largest coefficient."""
     wrong = p.coeffs[1 - parity::2]
     return wrong.size == 0 or bool(
-        np.max(np.abs(wrong)) <= tol * p.max_abs_coeff())
+        np.max(np.abs(wrong)) <= SYMMETRY_TOL * p.max_abs_coeff())
 
 
 def _poly_close(p, q, tol, scale):
@@ -636,55 +643,55 @@ def _axis_distance(root):
     return abs(root.real) / (1.0 + abs(root))
 
 
-def _snap_to_axis(root):
-    return complex(0.0, root.imag)
+def foster_data(R):
+    """Finite Foster data (k0, tanks) of a lossless impedance R, or None.
 
-
-def is_lossless_pr(R, tol=1e-8):
-    """True iff R is the impedance of a lossless one-port.
-
-    Checks, in order: R odd, at most a simple pole at infinity with
-    positive coefficient, all finite poles simple and on the imaginary
-    axis with real positive residues, all zeros on the axis, and
-    pole/zero alternation along the nonnegative axis.
+    R is lossless iff it is odd, has at most a simple pole at infinity,
+    with a positive coefficient, and its finite poles are simple and on
+    the imaginary axis with real positive residues: k0 at the origin
+    (0 when absent) and the (residue, omega) tanks at +-j omega, omega
+    increasing. By Foster's reactance theorem the zeros then lie on the
+    axis, interlaced with the poles, so none is computed.
 
     R is odd iff, in its reduced form, den has the parity of its
     degree and num the other one.
     """
     R = _as_rational(R)
     if R.is_zero:
-        return False
+        return None
     dn, dd = R.num.degree, R.den.degree
     if dn - dd > 1:
-        return False
-    if not (_has_parity(R.den, dd % 2, tol)
-            and _has_parity(R.num, 1 - dd % 2, tol)):
-        return False
-    # simple pole at infinity needs positive gain
+        return None
+    if not (_has_parity(R.den, dd % 2) and _has_parity(R.num, 1 - dd % 2)):
+        return None
     if dn == dd + 1 and R.num.leading / R.den.leading <= 0:
-        return False
+        return None
     poles = R.poles()
-    if any(_axis_distance(p) > SNAP_TOL for p in poles):
-        return False
-    if not _all_simple(poles):
-        return False
+    if (any(_axis_distance(p) > SNAP_TOL for p in poles)
+            or not _all_simple(poles)):
+        return None
     dden = R.den.derivative()
-    pole_freqs = []
+    k0 = 0.0
+    tanks = []
     for p in poles:
-        if p.imag < -SNAP_TOL * (1 + abs(p)):
-            continue  # conjugate partner carries the same residue
-        ps = _snap_to_axis(p)
-        res = R.num(ps) / dden(ps)
-        if not (res.real > tol and abs(res.imag) <= 1e-6 * abs(res)):
-            return False
-        pole_freqs.append(abs(ps.imag))
-    zeros = R.zeros()
-    if any(_axis_distance(z) > SNAP_TOL for z in zeros):
-        return False
-    zero_freqs = sorted(
-        {abs(z.imag) for z in zeros if z.imag > -SNAP_TOL * (1 + abs(z))}
-    )
-    return _alternates(sorted(pole_freqs), zero_freqs)
+        if p.imag == 0.0:  # a real root on the axis is the origin
+            k0 = float(R.num(0.0) / dden(0.0))
+            if not k0 > SYMMETRY_TOL:
+                return None
+        elif p.imag > 0.0:  # its conjugate partner has the same residue
+            s = complex(0.0, p.imag)
+            res = R.num(s) / dden(s)
+            if not (res.real > SYMMETRY_TOL
+                    and abs(res.imag) <= 1e-6 * abs(res)):
+                return None
+            tanks.append((float(res.real), float(p.imag)))
+    tanks.sort(key=lambda t: t[1])
+    return k0, tuple(tanks)
+
+
+def is_lossless_pr(R):
+    """True iff R is the impedance of a lossless one-port (foster_data)."""
+    return foster_data(R) is not None
 
 
 def _all_simple(roots, tol=1e-6):
@@ -697,18 +704,7 @@ def _all_simple(roots, tol=1e-6):
     return True
 
 
-def _alternates(pole_freqs, zero_freqs):
-    """Strict alternation of pole/zero frequencies on [0, inf)."""
-    tagged = sorted(
-        [(w, "p") for w in pole_freqs] + [(w, "z") for w in zero_freqs]
-    )
-    for (w1, t1), (w2, t2) in zip(tagged, tagged[1:]):
-        if t1 == t2:
-            return False
-    return True
-
-
-def is_inner(R, tol=1e-8):
+def is_inner(R):
     """True iff R is inner (all-pass): stable and |R(jw)| = 1.
 
     Stability is strict (every pole in the open left half-plane). For
@@ -725,7 +721,7 @@ def is_inner(R, tol=1e-8):
     mirror = R.den.reflected()
     mirror = mirror.scaled(np.sign(R.num.leading * mirror.leading))
     scale = max(R.num.max_abs_coeff(), mirror.max_abs_coeff())
-    return _poly_close(R.num, mirror, tol, scale)
+    return _poly_close(R.num, mirror, SYMMETRY_TOL, scale)
 
 
 # ---------------------------------------------------------------------
@@ -733,7 +729,7 @@ def is_inner(R, tol=1e-8):
 # ---------------------------------------------------------------------
 
 
-def spectral_factor(Phi, tol=1e-8):
+def spectral_factor(Phi):
     """Factor an even, axis-positive spectrum as Phi(s) = W(s) W(-s).
 
     W collects the open-left-half-plane roots of numerator and
@@ -750,7 +746,7 @@ def spectral_factor(Phi, tol=1e-8):
     Phi = _as_rational(Phi)
     if Phi.is_zero:
         raise SpectralFactorError("zero spectrum cannot be factored")
-    if not (_has_parity(Phi.num, 0, tol) and _has_parity(Phi.den, 0, tol)):
+    if not (_has_parity(Phi.num, 0) and _has_parity(Phi.den, 0)):
         raise SpectralFactorError("spectrum is not an even function")
     num_roots = Phi.zeros()
     den_roots = Phi.poles()

@@ -16,8 +16,10 @@ bookkeeping exact.
 
 The way back has two entries. foster_from_realization reads the data
 off the spectrum of the realization's skew A, with no polynomial in
-s; foster_from_rational extracts them from an impedance's
-coefficients, which is what inverse synthesis holds.
+s; foster_from_rational takes them from an impedance's coefficients,
+which is what inverse synthesis holds, as the lossless test
+ratfun.foster_data reads them: poles and residues, and no zero
+(Foster's reactance theorem).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ratfun import Polynomial, RationalFunction, SNAP_TOL, is_lossless_pr
+from .ratfun import Polynomial, RationalFunction, SNAP_TOL, foster_data
 
 
 class FosterParseError(ValueError):
@@ -270,13 +272,18 @@ def verify_lossless_certificate(r: LosslessRealization) -> CertificateReport:
     Residuals are normalized by the magnitude of the data they involve
     so a perturbation of size eps shows up as a residual of order eps
     regardless of the load's scale. Only this report runs the PBH SVDs.
+
+    One PBH loop gives both margins. The certificate makes b = c^T and
+    A = -A^T, so [lam I - A^T | c] = [lam I + A | b], the conjugate of
+    -[conj(lam) I - A | -b] for lam on the axis: the observability
+    margin at lam is the controllability margin at conj(lam), which is
+    an eigenvalue too.
     """
     lyap, gain = _certificate_residuals(r.ss)
     eigs = np.linalg.eigvals(r.ss.A)
     max_re = float(np.max(np.abs(eigs.real)))
-    ctrb = _pbh_margin(r.ss.A, r.ss.b, eigs)
-    obsv = _pbh_margin(r.ss.A.T, r.ss.c, eigs)
-    return CertificateReport(lyap, gain, max_re, ctrb, obsv)
+    margin = _pbh_margin(r.ss.A, r.ss.b, eigs)
+    return CertificateReport(lyap, gain, max_re, margin, margin)
 
 
 def _certificate_residuals(ss):
@@ -321,47 +328,26 @@ def foster_from_realization(r: LosslessRealization) -> FosterSpec:
                       tuple(zip(res[tanks].tolist(), mu[tanks].tolist())))
 
 
-def foster_from_rational(Z: RationalFunction, tol=1e-8) -> FosterSpec:
+def foster_from_rational(Z: RationalFunction) -> FosterSpec:
     """Recover the partial-fraction data of a strictly proper lossless Z.
 
-    Residues are extracted at the numerically located poles; every
-    residue must come out real and positive, otherwise the extraction
-    aborts with the offending pole in the message.
+    The data are ratfun.foster_data's, read at the numerically located
+    poles; a Z that is not lossless is refused, and so is a
+    reconstruction that drifts from Z.
     """
     if Z.is_zero:
         raise FosterExtractionError("zero impedance has no branch data")
-    dn = Z.num.degree or 0
-    dd = Z.den.degree or 0
-    if dn > dd:
+    if Z.at_infinity() is None:
         raise ImproperImpedanceError(
             "impedance grows at infinity; series-inductor loads are not "
             "realizable as proper feedback loads"
         )
-    if not is_lossless_pr(Z, tol=tol):
+    data = foster_data(Z)
+    if data is None:
         raise FosterExtractionError(
             "impedance is not lossless positive-real; cannot expand"
         )
-    dden = Z.den.derivative()
-    k0 = 0.0
-    tanks = []
-    for p in Z.poles():
-        if abs(p) <= SNAP_TOL:
-            res = (Z.num(0.0) / dden(0.0)).real
-            if res <= 0:
-                raise FosterExtractionError(
-                    f"pole at origin carries non-positive residue {res}"
-                )
-            k0 = res
-        elif p.imag > 0:
-            ps = complex(0.0, p.imag)
-            res = Z.num(ps) / dden(ps)
-            if not (res.real > 0 and abs(res.imag) <= 1e-6 * abs(res)):
-                raise FosterExtractionError(
-                    f"pole at {ps} carries non-real/non-positive residue {res}"
-                )
-            tanks.append((res.real, p.imag))
-    tanks.sort(key=lambda t: t[1])
-    spec = FosterSpec(k0, tuple(tanks))
+    spec = FosterSpec(*data)
     if not foster_to_rational(spec).close_to(Z, tol=1e-6):
         raise FosterExtractionError(
             "partial-fraction reconstruction drifted from the input; "

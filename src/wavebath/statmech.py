@@ -251,10 +251,12 @@ def _fft_autocov(x, max_lag):
 
 
 def _periodogram(centered, dt):
-    """Hann-windowed, zero-padded power spectrum of a centered series."""
+    """Hann-windowed power spectrum of a centered series, zero-padded to
+    the smallest 2^a 3^b length at least _PAD_FACTOR n (a prime length
+    would send the FFT down its slow Bluestein path)."""
     n = centered.size
     window = np.hanning(n)
-    padded = n * _PAD_FACTOR
+    padded = _fft_length(_PAD_FACTOR * n)
     spec = np.fft.rfft(centered * window, n=padded)
     power = np.abs(spec) ** 2 / (window @ window)
     freqs = np.fft.rfftfreq(padded, d=dt)

@@ -544,6 +544,19 @@ class TestReport:
         assert "notes.txt" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("text", ["{", "[1]"], ids=["truncated", "list"])
+    def test_malformed_summary_is_usage_error(self, tmp_path, capsys, text):
+        a, _ = self.make_runs(tmp_path)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        out = tmp_path / "out"
+        assert main(["report", str(a), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().count("\n") == 0
+        assert "bad" in err and "summary.json" in err
+        assert not (out / "report.json").exists()
+
     def test_failed_run_propagates(self, tmp_path):
         a, _ = self.make_runs(tmp_path)
         bad = tmp_path / "bad"

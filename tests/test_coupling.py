@@ -48,6 +48,7 @@ from wavebath.realization import (
     ImproperImpedanceError,
     LosslessRealization,
     StateSpace,
+    foster_from_rational,
     foster_realize,
     foster_to_rational,
     random_foster,
@@ -681,6 +682,32 @@ def test_loads_pass_runs_no_root_matching(monkeypatch):
         back = scattering_K(invert_K_to_Z(chain.K))
         assert back.close_to(chain.K, tol=1e-8)
     assert reductions == []
+
+
+def test_synthesis_finds_roots_once_per_certificate(monkeypatch):
+    # acceptance 10's density for a dimension-7 load: the spectral
+    # factor, is_inner(K) and foster_data(Z) each find one root set,
+    # and the inversion runs no lossless test of its own
+    spec = FosterSpec(k0=0.8, tanks=((0.5, 0.9), (1.1, 1.7), (0.7, 2.6)))
+    Phi = constant_numerator_spectrum(spec, gain=1.5)
+    calls = []
+    roots = Polynomial.roots
+    monkeypatch.setattr(Polynomial, "roots",
+                        lambda self: calls.append(self.degree) or roots(self))
+    chain = run_synthesis(Phi)
+    assert chain.load.dim == 7
+    assert len(calls) == 3
+    calls.clear()
+    back = scattering_K(invert_K_to_Z(chain.K))
+    assert back.close_to(chain.K, tol=1e-8)
+    assert len(calls) == 2
+
+    def refuse(self):
+        raise AssertionError("the lossless test computed a zero")
+
+    monkeypatch.setattr(RationalFunction, "zeros", refuse)
+    assert is_lossless_pr(chain.impedance)
+    assert foster_from_rational(chain.impedance) == chain.foster
 
 
 class TestSynthesis:

@@ -368,6 +368,39 @@ class TestLosslessPredicate:
             v = Z.evaluate(1j * w)
             assert abs(v.real) <= 1e-9 * max(1.0, abs(v))
 
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_lossless_iff_generating_data_are(self, seed, nudge):
+        # the oracle is the data R is summed from: tanks, a pole at the
+        # origin and one at infinity, some of them, each with a residue
+        # of random sign, and, when nudge is set, one finite pole moved
+        # off the axis
+        rng = np.random.default_rng(seed)
+        sign = lambda: float(rng.choice([-1.0, 1.0]))
+        freqs = 0.3 + np.cumsum(rng.uniform(0.3, 1.0, rng.integers(0, 4)))
+        terms = [(sign() * rng.uniform(0.2, 2.0), w) for w in freqs]
+        if not terms or rng.integers(0, 2):
+            terms.append((sign() * rng.uniform(0.2, 2.0), 0.0))
+        shift = np.zeros(len(terms))
+        if nudge:
+            i = rng.integers(len(terms))
+            shift[i] = (sign() * 10.0 ** rng.uniform(-6, -2)
+                        * (1.0 + terms[i][1]))
+        R = RationalFunction.constant(0.0)
+        for (k, w), sigma in zip(terms, shift):
+            s = Polynomial([sigma, 1.0])  # s + sigma: the pole moves by -sigma
+            if w == 0.0:
+                R = R + RationalFunction([k], s)
+            else:
+                R = R + RationalFunction(s.scaled(2.0 * k),
+                                         s * s + Polynomial([w * w]))
+        k_inf = 0.0
+        if rng.integers(0, 2):
+            k_inf = sign() * rng.uniform(0.2, 2.0)
+            R = R + RationalFunction([0.0, k_inf], [1.0])
+        lossless = k_inf >= 0 and all(k > 0 for k, _ in terms) and not nudge
+        assert is_lossless_pr(R) is lossless, (terms, shift, k_inf, R)
+
 
 class TestInnerPredicate:
     def test_first_order_all_pass(self):

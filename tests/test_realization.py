@@ -168,6 +168,30 @@ class TestCertificate:
         assert rep.controllability_margin > 1e-3
         assert rep.observability_margin > 1e-3
 
+    @pytest.mark.parametrize("n_tanks", [12, 40], ids=["dim25", "dim81"])
+    def test_margins_match_both_pbh_loops(self, n_tanks):
+        # oracle: the controllability and observability PBH tests as two
+        # dense SVD loops; the report runs one and reads the other off
+        # the certificate (b = c^T, A = -A^T)
+        rng = np.random.default_rng(n_tanks)
+        for _ in range(3):
+            freqs = 0.6 + np.cumsum(rng.uniform(0.3, 0.7, n_tanks))
+            spec = FosterSpec(rng.uniform(0.2, 2.0), tuple(
+                zip(rng.uniform(0.2, 2.0, n_tanks).tolist(), freqs.tolist())))
+            load = foster_realize(spec)
+            ss = load.ss
+            eigs = np.linalg.eigvals(ss.A)
+            n = ss.dim
+            ctrb, obsv = (min(np.linalg.svd(
+                np.hstack([lam * np.eye(n) - A, v.reshape(-1, 1)]),
+                compute_uv=False)[-1] for lam in eigs)
+                for A, v in ((ss.A, ss.b), (ss.A.T, ss.c)))
+            rep = verify_lossless_certificate(load)
+            # SVD's backward error is of order n eps |M|, M = [lam I - A | b]:
+            # below 1e-12 of these margins, which are about 0.1
+            assert rep.controllability_margin == pytest.approx(ctrb, rel=1e-12)
+            assert rep.observability_margin == pytest.approx(obsv, rel=1e-12)
+
 
 class TestTransferFunction:
     def test_integrator(self):
