@@ -9,9 +9,14 @@ directories into one table.
 Config resolution order: built-in default, then the [command] section
 of --config, then explicit flags. Unknown keys in the config file are
 an error — a typo must abort before any computation, not silently run
-a default. Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or config error (an unparsable config file, or a load the
-coupling cannot carry, included), always one line on stderr.
+a default.
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad usage, config
+or input, 3 internal error. `main` alone maps errors to codes: every
+refusal is a `ValueError`, or an `OSError` on the output path, and
+exits 2 with one stderr line and no `summary.json`; any other
+exception prints its traceback and a last line `internal error: ...`,
+and exits 3.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import dataclasses
 import json
 import math
 import sys
-from contextlib import contextmanager
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +44,9 @@ from .realization import (
 )
 
 
-class ConfigError(Exception):
-    """Bad key, bad value, or unusable combination in the run config."""
+class ConfigError(ValueError):
+    """Bad key, bad value, or unusable combination in the run config,
+    or a `report` argument that is not a run directory."""
 
 
 # ---------------------------------------------------------------------
@@ -146,10 +152,8 @@ def _load_config_section(command, path):
     try:
         read = ini.read(path)
         items = ini.items(command) if ini.has_section(command) else []
-    except configparser.Error as exc:
-        # configparser's messages span lines; stderr gets one
-        raise ConfigError(f"cannot parse {path}: "
-                          + " ".join(str(exc).split())) from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -242,22 +246,8 @@ def _jsonable(obj):
 
 
 def _load_from(params):
-    try:
-        spec = FosterSpec.from_text(params["foster"])
-    except Exception as exc:
-        raise ConfigError(f"bad foster description: {exc}") from None
+    spec = FosterSpec.from_text(params["foster"])
     return foster_realize(spec), spec
-
-
-@contextmanager
-def _load_rejected_as_config_error():
-    """A well-formed load that cannot be carried (not minimal, or past
-    DEGREE_CAP where `couple` prints K's coefficients) is bad input,
-    not a failed check: exit 2 with one line, not a traceback."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"load rejected: {exc}") from None
 
 
 # ---------------------------------------------------------------------
@@ -267,9 +257,8 @@ def _load_rejected_as_config_error():
 
 def _run_synth(params, seed, out_dir):
     load, spec = _load_from(params)
-    with _load_rejected_as_config_error():
-        report = verify_lossless_certificate(load)
-        back = foster_from_realization(load)
+    report = verify_lossless_certificate(load)
+    back = foster_from_realization(load)
     # printed output only: past the cap the impedance has no coefficients
     Z = foster_to_rational(back) if back.state_dim <= DEGREE_CAP else None
     checks = {
@@ -300,9 +289,8 @@ def _foster_distance(a, b):
 
 def _run_couple(params, seed, out_dir):
     load, spec = _load_from(params)
-    with _load_rejected_as_config_error():
-        pair = coupling.close_loops(load)
-        info = coupling.coupling_report(pair)
+    pair = coupling.close_loops(load)
+    info = coupling.coupling_report(pair)
     checks = {
         "mirror_spectrum": _check(info["mirror_residual"], 1e-8),
         "allpass_on_axis": _check(info["allpass_residual"], 1e-8),
@@ -329,37 +317,26 @@ def _parse_window(text):
 
 def _run_wave_sim(params, seed, out_dir, convention):
     load, spec = _load_from(params)
-    try:
-        cfg = waveline.LineConfig(
-            dx=params["dx"], x_max=params["x_max"], t_max=params["t_max"],
-            load=load, far_end=params["far_end"],
-            reflection_free=params["guarded"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = waveline.LineConfig(
+        dx=params["dx"], x_max=params["x_max"], t_max=params["t_max"],
+        load=load, far_end=params["far_end"],
+        reflection_free=params["guarded"],
+    )
     n = cfg.n_cells
-    try:
-        if params["init"] == "bump":
-            x = np.arange(n) * cfg.dx
-            # a zero or non-finite width or center is refused by init_waves
-            with np.errstate(all="ignore"):
-                v0 = np.exp(-((x - params["center"]) ** 2) / params["width"])
-            field = waveline.init_waves(v0, v0, cfg.dx)
-        elif params["init"] == "noise":
-            rng = np.random.default_rng(seed)
-            field = waveline.gaussian_field(rng, n, cfg.dx, params["sigma"])
-        else:
-            raise ConfigError(f"unknown init {params['init']!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if params["init"] == "bump":
+        x = np.arange(n) * cfg.dx
+        # a zero or non-finite width or center is refused by init_waves
+        with np.errstate(all="ignore"):
+            v0 = np.exp(-((x - params["center"]) ** 2) / params["width"])
+        field = waveline.init_waves(v0, v0, cfg.dx)
+    elif params["init"] == "noise":
+        rng = np.random.default_rng(seed)
+        field = waveline.gaussian_field(rng, n, cfg.dx, params["sigma"])
+    else:
+        raise ConfigError(f"unknown init {params['init']!r}")
 
-    with _load_rejected_as_config_error():
-        boundary = waveline.BoundaryCoupler.from_config(
-            cfg, convention=convention)
-    try:
-        _, trace = waveline.propagate(field, cfg.n_steps, boundary)
-    except waveline.ReflectionWindowError as exc:
-        raise ConfigError(str(exc)) from None
+    boundary = waveline.BoundaryCoupler.from_config(cfg, convention=convention)
+    _, trace = waveline.propagate(field, cfg.n_steps, boundary)
 
     fwd, _ = waveline.reduced_forward(boundary.pair, boundary.obs, trace.w,
                                       np.zeros(load.dim), cfg.dt)
@@ -383,11 +360,7 @@ def _run_wave_sim(params, seed, out_dir, convention):
     window = _parse_window(params["window"])
     if window is not None:
         expected = float(np.max(boundary.pair.poles.real))
-        try:
-            rate = waveline.decay_rate_probe(trace, window)
-        except (waveline.ContaminatedWindowError,
-                waveline.DegenerateProbeError, ValueError) as exc:
-            raise ConfigError(f"decay window unusable: {exc}") from None
+        rate = waveline.decay_rate_probe(trace, window)
         checks["decay_rate"] = _check(abs(rate - expected) / abs(expected), 0.05)
         result["decay_rate"] = rate
         result["decay_rate_expected"] = expected
@@ -399,14 +372,11 @@ def _run_wave_sim(params, seed, out_dir, convention):
 
 
 def _run_lattice_sim(params, seed, out_dir):
-    try:
-        cfg = lattice.ChainConfig(
-            half_width=params["M"], c=params["c"], beta=params["beta"],
-            dt=params["dt"], t_max=params["t_max"], seed=seed,
-            guarded=params["guarded"],
-        )
-    except (ValueError, lattice.ReflectionWindowError) as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = lattice.ChainConfig(
+        half_width=params["M"], c=params["c"], beta=params["beta"],
+        dt=params["dt"], t_max=params["t_max"], seed=seed,
+        guarded=params["guarded"],
+    )
     if cfg.n_steps < 2:
         # langevin_residual differences p0 over three samples
         raise ConfigError(
@@ -443,13 +413,10 @@ def _run_lattice_sim(params, seed, out_dir):
 
 
 def _run_autocorr(params, seed, out_dir):
-    try:
-        cfg = lattice.ChainConfig(
-            half_width=params["M"], c=params["c"], beta=params["beta"],
-            dt=params["dt"], t_max=params["t_max"], seed=seed,
-        )
-    except (ValueError, lattice.ReflectionWindowError) as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = lattice.ChainConfig(
+        half_width=params["M"], c=params["c"], beta=params["beta"],
+        dt=params["dt"], t_max=params["t_max"], seed=seed,
+    )
     if cfg.beta == 0.0:
         raise ConfigError("autocorr needs beta > 0: its checks are "
                           "relative to beta")
@@ -484,10 +451,7 @@ def _run_autocorr(params, seed, out_dir):
 
 
 def _run_mb_stats(params, seed, out_dir):
-    try:
-        mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     n = params["n"]
     if n < 10:
         raise ConfigError("n must be at least 10")
@@ -530,7 +494,7 @@ def _run_mb_stats(params, seed, out_dir):
 def _run_invert(params, seed, out_dir):
     try:
         Phi = RationalFunction.from_text(params["phi"])
-    except Exception as exc:
+    except ZeroDivisionError as exc:   # a zero denominator
         raise ConfigError(f"bad phi: {exc}") from None
     try:
         chain = coupling.run_synthesis(Phi)
@@ -596,12 +560,10 @@ def _run_report(args):
     run_dirs = [Path(d) for d in args.run_dirs
                 if Path(d).resolve() != own_table]
     if not run_dirs:
-        print("report: no run directories given", file=sys.stderr)
-        return 2
+        raise ConfigError("no run directories given")
     for d in run_dirs:
         if d.exists() and not d.is_dir():
-            print(f"report: {d} is not a run directory", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{d} is not a run directory")
     rows = []
     missing = []
     for d in run_dirs:
@@ -614,8 +576,7 @@ def _run_report(args):
         except ValueError:  # JSONDecodeError, UnicodeDecodeError
             summary = None
         if not isinstance(summary, dict):
-            print(f"report: {path} is not a JSON object", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{path} is not a JSON object")
         rows.append(summary)
     rows.sort(key=lambda s: s.get("id", ""))
     table = {
@@ -638,19 +599,11 @@ def _run_report(args):
     return 0 if table["ok"] else 1
 
 
-def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        return _run_report(args)
-    try:
-        params, seed = resolve_params(args)
-        out_dir = Path(args.out) if args.out else Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        checks, result, artifacts = _RUNNERS[args.command](params, seed, out_dir)
-    except ConfigError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+def _run_experiment(args):
+    params, seed = resolve_params(args)
+    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    checks, result, artifacts = _RUNNERS[args.command](params, seed, out_dir)
     ok = all(c["pass"] for c in checks.values())
     summary = {
         "id": args.id or args.command,
@@ -670,6 +623,26 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     return 0
+
+
+def _one_line(exc):
+    return " ".join(str(exc).split())
+
+
+def main(argv=None):
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    run = _run_report if args.command == "report" else _run_experiment
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {_one_line(exc)}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"{args.command}: internal error: {type(exc).__name__}: "
+              f"{_one_line(exc)}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

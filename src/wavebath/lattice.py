@@ -96,8 +96,10 @@ class ChainConfig:
     def __post_init__(self):
         if int(self.half_width) != self.half_width or self.half_width < 2:
             raise ValueError("half_width must be an integer >= 2")
-        if not 0 < self.c < np.inf:
-            raise ValueError("coupling c must be positive and finite")
+        # c and c*c tested apart: c*c alone admits c < 0
+        if not (self.c > 0 and 0 < self.c * self.c < np.inf):
+            raise ValueError("coupling c must be positive, with c*c a "
+                             f"positive finite float; got c = {self.c}")
         if not 0 <= self.beta < np.inf:
             raise ValueError("beta must be nonnegative and finite")
         if not 0 < self.dt <= self.t_max < np.inf:

@@ -53,12 +53,13 @@ from .coupling import CoupledModelPair, Observable, close_loops
 from .realization import LosslessRealization
 
 
-class ReflectionWindowError(RuntimeError):
+class ReflectionWindowError(ValueError):
     """A truncation end would reach the observed site inside the run.
 
     Raised by both truncation guards: a far-end reflection re-entering
     a reflection-free line, and a chain horizon t_max >= M/c that lets
-    the clamped ends contaminate the center site.
+    the clamped ends contaminate the center site. It refuses the run's
+    length, an input, so it is a ValueError like every other refusal.
     """
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import wavebath
 import wavebath.cli
+from wavebath import waveline
 from wavebath.cli import main
 from wavebath.realization import FosterSpec
 
@@ -37,6 +38,16 @@ def assert_usage_error(proc, name):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().count("\n") == 0
     assert name in proc.stderr
+
+
+def assert_refused(capsys, argv, name):
+    """In process: exit 2 with one stderr line that names `name`."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0
+    assert name in err
 
 
 def run(tmp_path, *argv):
@@ -303,6 +314,14 @@ class TestConfigFile:
                        "--out", str(tmp_path / "run")])
         assert_usage_error(proc, name)
 
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[couple]\nfoster = k0=1\xff\n")
+        assert_refused(capsys, ["couple", "--config", str(cfg), "--out",
+                                str(tmp_path / "run")],
+                       f"cannot parse {cfg}")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run(tmp_path, "couple", "--config",
                          str(tmp_path / "absent.ini"))
@@ -386,6 +405,32 @@ class TestUsageErrors:
         proc = python(["-m", "wavebath.cli", "couple", "--foster", foster,
                        "--out", str(tmp_path / "run")])
         assert_usage_error(proc, name)
+
+    @pytest.mark.parametrize("c, extra", [
+        ("1e300", ["--no-guarded"]), ("1e-300", []), ("-1", []), ("nan", []),
+    ], ids=["c-squared-overflows", "c-squared-underflows", "negative", "nan"])
+    def test_unrepresentable_coupling_exits_two(self, tmp_path, capsys, c,
+                                                extra):
+        assert_refused(capsys, ["lattice-sim", "--M=10", f"--c={c}",
+                                "--t-max=1", *extra,
+                                "--out", str(tmp_path / "run")],
+                       "coupling c")
+
+    def test_unallocatable_sample_grid_exits_two(self, tmp_path, capsys):
+        # 1e300 samples: numpy refuses the array before allocating it
+        assert_refused(capsys, ["lattice-sim", "--M=2", "--dt=1e-300",
+                                "--t-max=1.0", "--out", str(tmp_path / "run")],
+                       "lattice-sim")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [["mb-stats", "--n", "100"],
+                                      ["report", "R"]],
+                             ids=["mb-stats", "report"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert_refused(capsys, [*argv, "--out", str(out)], str(out))
 
     @pytest.mark.parametrize("command", ["line-sim", "string-sim"])
     def test_large_load_runs_on_the_line(self, tmp_path, command):
@@ -486,6 +531,38 @@ class TestUsageErrors:
                          "--x-max", "4", "--t-max", "3",
                          "--init", "sawtooth")
         assert code == 2
+
+
+class TestInternalErrors:
+    def test_refusals_are_value_errors(self):
+        assert issubclass(waveline.ReflectionWindowError, ValueError)
+        assert issubclass(wavebath.cli.ConfigError, ValueError)
+
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def broken(params, seed, out_dir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(wavebath.cli._RUNNERS, "couple", broken)
+        code, _, s = run(tmp_path, "couple", "--foster", "k0=1")
+        assert code == 3
+        assert s is None
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        last = err.strip().splitlines()[-1]
+        assert last == "couple: internal error: RuntimeError: boom"
+
+    def test_internal_error_in_report_exits_three(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def broken(text):
+            raise KeyError("boom")
+
+        a = tmp_path / "a"
+        assert main(["couple", "--foster", "k0=1", "--out", str(a)]) == 0
+        monkeypatch.setattr(wavebath.cli.json, "loads", broken)
+        assert main(["report", str(a), "--out", str(tmp_path / "t")]) == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("report: internal error: KeyError")
+        assert not (tmp_path / "t" / "report.json").exists()
 
 
 class TestReport:
