@@ -16,7 +16,9 @@ or input, 3 internal error. `main` alone maps errors to codes: every
 refusal is a `ValueError`, or an `OSError` on the output path, and
 exits 2 with one stderr line and no `summary.json`; any other
 exception prints its traceback and a last line `internal error: ...`,
-and exits 3.
+and exits 3. An experiment removes the `summary.json` of an earlier
+run in its output directory before it starts, so no verdict outlives
+a run that exits 2 or 3.
 """
 
 from __future__ import annotations
@@ -600,8 +602,9 @@ def _run_report(args):
 
 
 def _run_experiment(args):
-    params, seed = resolve_params(args)
     out_dir = Path(args.out) if args.out else Path(".")
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    params, seed = resolve_params(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     checks, result, artifacts = _RUNNERS[args.command](params, seed, out_dir)
     ok = all(c["pass"] for c in checks.values())

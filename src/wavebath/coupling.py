@@ -20,13 +20,17 @@ Gamma_bar = -Gamma^T and Gamma + Gamma^T = -2 b0 b0^T: the spectra
 mirror and Gamma is stable once the load is minimal; the coupled pair
 checks just these and the pole margin.
 
-The observable transfers come from the same algebra: their
-denominators are det(sI - Gamma), expanded from the poles, and
-det(sI - Gamma_bar) = (-1)^n det(-sI - Gamma); their numerators follow
-from the matrix-determinant lemma, h adj(sI - Gamma) g =
-det(sI - Gamma + g h^T) - det(sI - Gamma), one eigendecomposition per
-side. A pole the observable cannot see is cancelled by evaluating the
-numerator on it, so no numerator root finding is run.
+The observable transfers come from the same algebra: the bath acts on
+the load by state feedback, so every observable's transfers share the
+pair's (Gamma, Gamma_bar, g). Their denominators are det(sI - Gamma),
+expanded from the poles, and det(sI - Gamma_bar) =
+(-1)^n det(-sI - Gamma). Their numerators are linear in the observable
+(h, d): each side keeps a basis of n + 1 coefficient rows, row i being
+e_i adj(sI - Gamma) g by the matrix-determinant lemma, with the rows'
+values and slopes at the poles. An observable then costs a few small
+matrix-vector products per side; a pole it cannot see is cancelled by
+reading the numerator's value on it from the basis, so no numerator
+root finding is run.
 scattering_K maps an impedance's coefficients to K, for the round-trip
 check of a synthesized load.
 """
@@ -38,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ratfun import (SNAP_TOL, Polynomial, RationalFunction,
-                     cancel_known_roots, is_inner, is_lossless_pr,
+from .ratfun import (MATCH_TOL, SNAP_TOL, Polynomial, RationalFunction,
+                     _deflate_both, is_inner, is_lossless_pr,
                      spectral_factor)
 from .realization import (
     ImproperImpedanceError,
@@ -123,6 +127,66 @@ class CoupledModelPair:
         # coprime: den is Hurwitz and den(-s) anti-Hurwitz
         return RationalFunction(den.reflected().scaled(sign), den,
                                 reduce=False)
+
+    @cached_property
+    def transfer_bases(self):
+        """Forward and backward _TransferBasis of observable_transfers.
+
+        Built on first access from one stacked eigvals call of n
+        matrices per side, so a pair read by a single observable pays n
+        eigenproblems per side where one would do; the bases pay off
+        once a pair is read by several observables.
+        """
+        den = self.K.den
+        den_bar = den.reflected().scaled(-1.0 if self.dim % 2 else 1.0)
+        return (_TransferBasis.build(self.gamma, self.input_gain, den,
+                                     self.poles, 1.0),
+                _TransferBasis.build(self.gamma_bar, self.input_gain,
+                                     den_bar, -self.poles, -1.0))
+
+
+@dataclass(frozen=True, eq=False)
+class _TransferBasis:
+    """One side's linear map from an observable x = (h, d) to the
+    numerator of its wave transfer over den = det(sI - gamma).
+
+    Row i < n of `rows` holds the coefficients (lowest degree first) of
+    e_i adj(sI - gamma) g, row n those of 2 den, all times `sign`, so
+    x @ rows is sign (h adj(sI - gamma) g + 2 d den). `values` and
+    `slopes` hold every row's value and first derivative at the poles
+    (the roots of den).
+    """
+
+    rows: np.ndarray
+    den: Polynomial
+    poles: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+
+    @classmethod
+    def build(cls, gamma, gain, den, poles, sign):
+        """Rows by the matrix-determinant lemma, e_i adj(sI - gamma) g =
+        det(sI - gamma + g e_i^T) - den(s), the n shifted matrices in
+        one stacked eigvals call. Both determinants are monic and
+        expanded from computed roots, so each difference has a zero
+        top coefficient."""
+        n = gain.size
+        shifted = np.repeat(gamma[None], n, axis=0)
+        idx = np.arange(n)
+        shifted[idx, :, idx] -= gain  # shifted[i] = gamma - g e_i^T
+        rows = np.empty((n + 1, n + 1))
+        for i, lam in enumerate(np.linalg.eigvals(shifted)):
+            rows[i] = Polynomial.from_roots(lam).coeffs - den.coeffs
+        rows[n] = 2.0 * den.coeffs
+        rows *= sign
+        values = np.zeros((n + 1, n), dtype=complex)
+        slopes = np.zeros_like(values)
+        for c in rows.T[::-1]:  # Horner's rule with its derivative
+            slopes = slopes * poles + values
+            values = values * poles + c[:, None]
+        for arr in (rows, poles, values, slopes):
+            arr.setflags(write=False)
+        return cls(rows, den, poles, values, slopes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,48 +274,45 @@ def observable_transfers(pair: CoupledModelPair, obs: Observable):
 
     Both come from the pair's own algebra, with g = 2 b0 = input_gain.
     The denominators are D = pair.K.den and Dbar(s) = (-1)^n D(-s),
-    exact because Gamma_bar = -Gamma^T. The numerators follow from the
-    matrix-determinant lemma, h adj(sI - Gamma) g =
-    det(sI - Gamma + g h^T) - D(s), one eigendecomposition per side;
-    the backward side is computed on its own from Gamma_bar and h_bar.
-    A pole is cancelled when the numerator vanishes on it to first
-    order (ratfun.cancel_known_roots); no root of a numerator is
-    computed.
+    exact because Gamma_bar = -Gamma^T. The numerators are linear in
+    (h, d): pair.transfer_bases holds, per side, the n + 1 coefficient
+    rows of e_i adj(sI - Gamma) g and 2 D and their values and slopes at
+    the poles, so each side costs a few small matrix-vector products
+    and no eigenproblem. The first call on a pair builds the bases (n
+    eigenproblems per side). A pole is cancelled when the numerator
+    vanishes on it to first order; no root of a numerator is computed.
     """
     if np.all(obs.h == 0.0) and obs.d == 0.0:
         raise TrivialObservableError("transfer pair undefined for y = 0")
-    gain = pair.input_gain
-    den = pair.K.den
-    den_bar = den.reflected().scaled(-1.0 if pair.dim % 2 else 1.0)
-    W = _port_transfer(pair.gamma, gain, obs.h, obs.d, den, pair.poles)
-    Wb = _port_transfer(pair.gamma_bar, gain, obs.h_bar, obs.d, den_bar,
-                        -pair.poles)
-    return W, -Wb
+    forward, backward = pair.transfer_bases
+    return (_port_transfer(forward, obs.h, obs.d),
+            _port_transfer(backward, obs.h_bar, obs.d))
 
 
-def _adjugate_numerator(gamma, gain, h, den):
-    """h adj(sI - gamma) gain, given den = det(sI - gamma).
+def _port_transfer(basis, h, d):
+    """x @ basis.rows / basis.den for x = (h, d), reduced.
 
-    Matrix-determinant lemma: det(sI - gamma + gain h^T) =
-    den(s) (1 + h (sI - gamma)^{-1} gain). Both determinants are monic
-    and expanded from computed roots, so their difference cancels its
-    top coefficients to rounding when h gain = 0; it is trimmed at
-    1e-13 of its largest coefficient so that the numerator keeps its
-    true degree.
+    A pole is shared when the numerator vanishes there to first order,
+    |num(r)| <= MATCH_TOL (1 + |r|) |num'(r)|: the Newton estimate of
+    the distance to num's nearest root, on the scale root matching
+    uses. The shared poles are deflated from both, so no root of num is
+    computed. The adjugate part h @ rows[:n] is trimmed at 1e-13 of its
+    largest coefficient before 2 d den is added: its top coefficients
+    cancel to rounding when h g = 0, and the trim keeps num's true
+    degree without dropping a small feedthrough d.
     """
-    shifted = Polynomial.from_roots(
-        np.linalg.eigvals(gamma - np.outer(gain, h)))
-    return Polynomial(shifted.coeffs - den.coeffs, rel_tol=1e-13)
-
-
-def _port_transfer(gamma, gain, h, d, den, poles):
-    """(h adj(sI - gamma) gain + 2 d den) / den, reduced over poles
-    (the roots of den)."""
-    num = _adjugate_numerator(gamma, gain, h, den)
-    if d != 0.0:
-        num = num + den.scaled(2.0 * d)
+    x = np.append(h, d)
+    adj = Polynomial(h @ basis.rows[:-1], rel_tol=1e-13).coeffs
+    num = d * basis.rows[-1]
+    num[: adj.size] += adj
+    num, den = Polynomial(num), basis.den
+    shared = (np.abs(x @ basis.values)
+              <= MATCH_TOL * (1.0 + np.abs(basis.poles))
+              * np.abs(x @ basis.slopes))
+    if shared.any():
+        num, den = _deflate_both(num, den, basis.poles[shared])
     # coprime: every root of den that num vanishes on is deflated
-    return RationalFunction(*cancel_known_roots(num, den, poles), reduce=False)
+    return RationalFunction(num, den, reduce=False)
 
 
 def invert_K_to_Z(K: RationalFunction) -> RationalFunction:
@@ -328,7 +389,6 @@ def match_observable_to_factor(load: LosslessRealization,
     the forward characteristic polynomial as denominator.
     """
     n = load.dim
-    b0 = load.ss.b
     dn = W_target.num.degree
     dd = W_target.den.degree
     if dn is None or dd is None or dn >= dd or dd != n:
@@ -340,10 +400,8 @@ def match_observable_to_factor(load: LosslessRealization,
         raise ValueError(
             "target denominator is not the forward characteristic polynomial"
         )
-    cols = np.zeros((n, n))
-    for i, e in enumerate(np.eye(n)):
-        num = _adjugate_numerator(pair.gamma, 2.0 * b0, e, pair.K.den)
-        cols[: num.coeffs.size, i] = num.coeffs
+    # column i: the coefficients of e_i adj(sI - Gamma) g, degree < n
+    cols = pair.transfer_bases[0].rows[:n, :n].T
     target = np.zeros(n)
     target[: W_target.num.coeffs.size] = W_target.num.coeffs
     c, res, rank, _ = np.linalg.lstsq(cols, target, rcond=None)

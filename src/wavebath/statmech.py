@@ -209,6 +209,10 @@ def autocovariance(series, max_lag, dt=1.0) -> SeriesStats:
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
     n = x.size
+    if n < 3:
+        # the Hann window of two samples is all zeros
+        raise ValueError(f"series of {n} samples is too short for a "
+                         "windowed periodogram (need at least 3)")
     if n <= 4 * max_lag:
         raise ValueError(
             f"series of length {n} too short for max_lag {max_lag} "

@@ -387,6 +387,15 @@ class TestUsageErrors:
                        str(tmp_path / "run")])
         assert_usage_error(proc, name)
 
+    def test_single_step_wave_spectrum_exits_two(self, tmp_path, capsys):
+        # two samples of the incoming wave: their Hann window is all zeros
+        assert_refused(capsys, ["autocorr", "--M=10", "--dt=0.05",
+                                "--t-max=0.05", "--runs=2",
+                                "--out", str(tmp_path / "run")],
+                       "at least 3")
+        assert not (tmp_path / "run" / "summary.json").exists()
+        assert not (tmp_path / "run" / "wave_spectrum.csv").exists()
+
     @pytest.mark.parametrize("argv", [["--kT", "1e-300"], ["--m", "1e300"]],
                              ids=["kT-tiny", "m-huge"])
     def test_unnormalisable_speed_density_exits_two_without_traceback(
@@ -597,6 +606,17 @@ class TestReport:
 
     def test_no_directories_is_usage_error(self, capsys):
         assert main(["report"]) == 2
+
+    def test_refused_run_removes_the_earlier_verdict(self, tmp_path, capsys):
+        out = str(tmp_path / "a")
+        assert main(["couple", "--foster", "k0=1", "--out", out]) == 0
+        assert main(["couple", "--foster", "k0=-1", "--out", out]) == 2
+        assert not (tmp_path / "a" / "summary.json").exists()
+        capsys.readouterr()
+        assert main(["report", out, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "pass" not in captured.out
+        assert captured.err == f"missing summary: {out}/summary.json\n"
 
     def test_second_report_skips_its_own_table(self, tmp_path, capsys):
         # `report runs/* --out runs` run twice: the glob now holds the

@@ -35,10 +35,12 @@ from wavebath.coupling import (
     scattering_K,
 )
 from wavebath.ratfun import (
+    MATCH_TOL,
     DegreeCapError,
     Polynomial,
     RationalFunction,
     SpectralFactorError,
+    _deflate_both,
     is_inner,
     is_lossless_pr,
     spectral_factor,
@@ -115,6 +117,31 @@ def blind_row(pair, seed=0):
     Q = np.linalg.qr(np.vstack([v.real, v.imag]).T)[0]
     r = np.random.default_rng(seed).normal(size=pair.dim)
     return r - Q @ (Q.T @ r)
+
+
+def determinant_lemma_transfers(pair, obs):
+    """W and Wbar of one observable by the per-observable route: the
+    numerator h adj(sI - Gamma) g = det(sI - Gamma + g h^T) - D(s) from
+    one eigendecomposition per side, and the poles the numerator
+    vanishes on to first order deflated after Horner evaluation."""
+    den = pair.K.den
+    den_bar = den.reflected().scaled(-1.0 if pair.dim % 2 else 1.0)
+    out = []
+    for gamma, h, D, poles in ((pair.gamma, obs.h, den, pair.poles),
+                               (pair.gamma_bar, obs.h_bar, den_bar,
+                                -pair.poles)):
+        shifted = Polynomial.from_roots(
+            np.linalg.eigvals(gamma - np.outer(pair.input_gain, h)))
+        num = Polynomial(shifted.coeffs - D.coeffs, rel_tol=1e-13)
+        if obs.d != 0.0:
+            num = num + D.scaled(2.0 * obs.d)
+        slope = np.abs(num.derivative()(poles))
+        shared = (np.abs(num(poles))
+                  <= MATCH_TOL * (1.0 + np.abs(poles)) * slope)
+        if shared.any():
+            num, D = _deflate_both(num, D, poles[shared])
+        out.append(RationalFunction(num, D, reduce=False))
+    return out[0], -out[1]
 
 
 def identity_residuals(pair):
@@ -499,8 +526,9 @@ class TestObservableTransfers:
                                                              monkeypatch):
         load = ceiling_family(7, 6, count=1)[0]
         pair = close_loops(load)
-        obs = Observable.build(
-            load, np.random.default_rng(13).normal(size=load.dim), 0.3)
+        rng = np.random.default_rng(13)
+        first, second = (Observable.build(load, rng.normal(size=load.dim), d)
+                         for d in (0.3, -0.8))
 
         def refuse(*args, **kwargs):
             raise AssertionError("slow route called by observable_transfers")
@@ -515,10 +543,44 @@ class TestObservableTransfers:
         monkeypatch.setattr(
             np.linalg, "eigvals",
             lambda M: eig_calls.append(M.shape) or eigvals(M))
-        W, Wbar = observable_transfers(pair, obs)
-        # one eigendecomposition per side, none for the known poles
-        assert eig_calls == [(13, 13), (13, 13)]
+        W, Wbar = observable_transfers(pair, first)
+        # the first observable builds the pair's bases: one stacked
+        # eigendecomposition of the n shifted matrices per side, none
+        # for the known poles
+        assert eig_calls == [(13, 13, 13), (13, 13, 13)]
         assert W.den.degree == Wbar.den.degree == 13
+        # a second observable reads the bases: no eigenproblem, no
+        # evaluation of a numerator polynomial
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(Polynomial, "__call__", refuse)
+        W2, Wbar2 = observable_transfers(pair, second)
+        assert W2.den.degree == Wbar2.den.degree == 13
+        assert (W2 / Wbar2).close_to(pair.K, tol=1e-8)
+
+    @pytest.mark.parametrize("dim", [*range(1, 14), 25])
+    def test_basis_matches_the_per_observable_route(self, dim):
+        # the per-observable determinant-lemma route is the oracle: one
+        # eigendecomposition of Gamma - g h^T per side and observable
+        spec = ceiling_specs(dim, dim // 2, count=1)[0]
+        load = foster_realize(spec if dim % 2 else FosterSpec(0.0, spec.tanks))
+        assert load.dim == dim
+        pair = close_loops(load)
+        rng = np.random.default_rng(dim)
+        rows = [(rng.normal(size=dim), float(rng.normal())) for _ in range(4)]
+        rows += [(rng.normal(size=dim), 0.0)]
+        if dim > 2:
+            rows += [(blind_row(pair, seed), d) for seed, d in ((1, 0.0),
+                                                                (2, 0.6))]
+        for h, d in rows:
+            obs = Observable.build(load, h, d)
+            got = observable_transfers(pair, obs)
+            want = determinant_lemma_transfers(pair, obs)
+            for a, b in zip(got, want):
+                assert a.num.degree == b.num.degree
+                assert a.den.degree == b.den.degree
+                scale = max(b.num.max_abs_coeff(), b.den.max_abs_coeff())
+                for p, q in ((a.num, b.num), (a.den, b.den)):
+                    assert np.max(np.abs(p.coeffs - q.coeffs)) <= 1e-12 * scale
 
     def test_quotient_runs_no_root_matching(self, monkeypatch):
         loads = []
@@ -686,8 +748,9 @@ def test_loads_pass_runs_no_root_matching(monkeypatch):
 
 def test_synthesis_finds_roots_once_per_certificate(monkeypatch):
     # acceptance 10's density for a dimension-7 load: the spectral
-    # factor, is_inner(K) and foster_data(Z) each find one root set,
-    # and the inversion runs no lossless test of its own
+    # factor and foster_data(Z) each find one root set, is_inner(K)
+    # proves K's poles stable by Routh's test and finds none, and the
+    # inversion runs no lossless test of its own
     spec = FosterSpec(k0=0.8, tanks=((0.5, 0.9), (1.1, 1.7), (0.7, 2.6)))
     Phi = constant_numerator_spectrum(spec, gain=1.5)
     calls = []
@@ -696,11 +759,11 @@ def test_synthesis_finds_roots_once_per_certificate(monkeypatch):
                         lambda self: calls.append(self.degree) or roots(self))
     chain = run_synthesis(Phi)
     assert chain.load.dim == 7
-    assert len(calls) == 3
+    assert len(calls) == 2
     calls.clear()
     back = scattering_K(invert_K_to_Z(chain.K))
     assert back.close_to(chain.K, tol=1e-8)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     def refuse(self):
         raise AssertionError("the lossless test computed a zero")

@@ -233,6 +233,11 @@ class TestAutocovariance:
         with pytest.raises(ValueError):
             autocovariance(np.ones(40), 10)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_series_without_a_windowed_periodogram_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 3"):
+            autocovariance(np.arange(float(n)), 0)
+
     def test_lag_grid_uses_dt(self):
         rng = np.random.default_rng(3)
         stats = autocovariance(rng.standard_normal(200), 5, dt=0.25)
