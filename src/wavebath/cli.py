@@ -69,15 +69,15 @@ _SIM_PARAMS = {
     "guarded": (bool, True, "refuse runs long enough to see far-end returns"),
 }
 
-_PARAMS = {
+_TABLES = {
     "synth": {
         "foster": (str, None, "load description, e.g. 'k0 = 1; tank = 0.5,1'"),
     },
     "couple": {
         "foster": (str, None, "load description"),
     },
-    "line-sim": dict(_SIM_PARAMS),
-    "string-sim": dict(_SIM_PARAMS),
+    "line-sim": _SIM_PARAMS,
+    "string-sim": _SIM_PARAMS,
     "lattice-sim": {
         "M": (int, 60, "chain half-width (2M+1 sites)"),
         "c": (float, 1.0, "coupling"),
@@ -104,6 +104,9 @@ _PARAMS = {
         "phi": (str, None, "spectral density 'num ; den' (ascending coeffs)"),
     },
 }
+# every experiment draws from one rng seed, a parameter like the others
+_PARAMS = {command: {**table, "seed": (int, 0, "rng seed")}
+           for command, table in _TABLES.items()}
 
 
 def _build_parser():
@@ -116,14 +119,10 @@ def _build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         for key, (typ, default, helptext) in table.items():
             flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, dest=key, default=None,
-                               action=argparse.BooleanOptionalAction,
-                               help=helptext)
-            else:
-                p.add_argument(flag, dest=key, type=typ, default=None,
-                               help=helptext)
-        p.add_argument("--seed", type=int, default=None, help="rng seed")
+            kind = ({"action": argparse.BooleanOptionalAction}
+                    if typ is bool else {"type": typ})
+            p.add_argument(flag, dest=key, default=None, help=helptext,
+                           **kind)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--id", type=str, default=None,
@@ -132,20 +131,6 @@ def _build_parser():
     rep.add_argument("run_dirs", nargs="*", help="directories with summary.json")
     rep.add_argument("--out", type=str, default=None, help="output directory")
     return parser
-
-
-_BOOL_STRINGS = {"1": True, "true": True, "yes": True, "on": True,
-                 "0": False, "false": False, "no": False, "off": False}
-
-
-def _coerce(command, key, raw):
-    typ = int if key == "seed" else _PARAMS[command][key][0]
-    try:
-        if typ is bool:
-            return _BOOL_STRINGS[raw.strip().lower()]
-        return typ(raw)
-    except (ValueError, KeyError):
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
 
 
 def _load_config_section(command, path):
@@ -160,11 +145,16 @@ def _load_config_section(command, path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
     for key, raw in items:
-        if key != "seed" and key not in _PARAMS[command]:
+        if key not in _PARAMS[command]:
             raise ConfigError(
                 f"unknown key {key!r} in section [{command}] of {path}"
             )
-        values[key] = _coerce(command, key, raw)
+        typ = _PARAMS[command][key][0]
+        try:
+            values[key] = (ini.BOOLEAN_STATES[raw.strip().lower()]
+                           if typ is bool else typ(raw))
+        except (ValueError, KeyError):
+            raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
     extra = [s for s in ini.sections() if s != command]
     if extra:
         raise ConfigError(f"unexpected sections {extra} in {path}")
@@ -176,21 +166,14 @@ def resolve_params(args):
     command = args.command
     table = _PARAMS[command]
     params = {k: spec[1] for k, spec in table.items()}
-    seed = 0
     if args.config:
-        fromfile = _load_config_section(command, args.config)
-        seed = fromfile.pop("seed", seed)
-        params.update(fromfile)
-    for key in table:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            params[key] = flag_value
-    if args.seed is not None:
-        seed = args.seed
+        params.update(_load_config_section(command, args.config))
+    flags = {key: getattr(args, key) for key in table}
+    params.update((k, v) for k, v in flags.items() if v is not None)
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise ConfigError(f"missing required parameters: {missing}")
-    return params, seed
+    return params
 
 
 # ---------------------------------------------------------------------
@@ -257,7 +240,7 @@ def _load_from(params):
 # ---------------------------------------------------------------------
 
 
-def _run_synth(params, seed, out_dir):
+def _run_synth(params, out_dir):
     load, spec = _load_from(params)
     report = verify_lossless_certificate(load)
     back = foster_from_realization(load)
@@ -289,7 +272,7 @@ def _foster_distance(a, b):
     return dev
 
 
-def _run_couple(params, seed, out_dir):
+def _run_couple(params, out_dir):
     load, spec = _load_from(params)
     pair = coupling.close_loops(load)
     info = coupling.coupling_report(pair)
@@ -317,7 +300,7 @@ def _parse_window(text):
     return t1, t2
 
 
-def _run_wave_sim(params, seed, out_dir, convention):
+def _run_wave_sim(params, out_dir, convention):
     load, spec = _load_from(params)
     cfg = waveline.LineConfig(
         dx=params["dx"], x_max=params["x_max"], t_max=params["t_max"],
@@ -332,7 +315,7 @@ def _run_wave_sim(params, seed, out_dir, convention):
             v0 = np.exp(-((x - params["center"]) ** 2) / params["width"])
         field = waveline.init_waves(v0, v0, cfg.dx)
     elif params["init"] == "noise":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(params["seed"])
         field = waveline.gaussian_field(rng, n, cfg.dx, params["sigma"])
     else:
         raise ConfigError(f"unknown init {params['init']!r}")
@@ -373,17 +356,19 @@ def _run_wave_sim(params, seed, out_dir, convention):
     return checks, result, [path.name]
 
 
-def _run_lattice_sim(params, seed, out_dir):
-    cfg = lattice.ChainConfig(
+def _chain_config(params, **options):
+    """The chain of lattice-sim and autocorr; ChainConfig checks its grid."""
+    return lattice.ChainConfig(
         half_width=params["M"], c=params["c"], beta=params["beta"],
-        dt=params["dt"], t_max=params["t_max"], seed=seed,
-        guarded=params["guarded"],
+        dt=params["dt"], t_max=params["t_max"], seed=params["seed"],
+        **options,
     )
-    if cfg.n_steps < 2:
-        # langevin_residual differences p0 over three samples
-        raise ConfigError(
-            f"t_max = {cfg.t_max} holds one step of dt = {cfg.dt}; the "
-            "Langevin order check needs at least two")
+
+
+def _run_lattice_sim(params, out_dir):
+    cfg = _chain_config(params, guarded=params["guarded"])
+    # built before any array: its grid has twice the samples
+    half = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
     state = lattice.sample_invariant(cfg)
     trace = lattice.integrate(state, cfg)
     h0 = lattice.chain_energy(state, cfg)
@@ -392,7 +377,6 @@ def _run_lattice_sim(params, seed, out_dir):
     denom = max(abs(h0), 1e-30)
 
     res_full = lattice.langevin_residual(trace, cfg.c)
-    half = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
     res_half = lattice.langevin_residual(lattice.integrate(state, half), cfg.c)
     order = math.log2(res_full / res_half) if res_half > 0 else float("inf")
 
@@ -414,16 +398,11 @@ def _run_lattice_sim(params, seed, out_dir):
     return checks, result, [path.name]
 
 
-def _run_autocorr(params, seed, out_dir):
-    cfg = lattice.ChainConfig(
-        half_width=params["M"], c=params["c"], beta=params["beta"],
-        dt=params["dt"], t_max=params["t_max"], seed=seed,
-    )
+def _run_autocorr(params, out_dir):
+    cfg = _chain_config(params)
     if cfg.beta == 0.0:
         raise ConfigError("autocorr needs beta > 0: its checks are "
                           "relative to beta")
-    if params["runs"] < 1:
-        raise ConfigError(f"runs must be >= 1, got {params['runs']}")
     report = lattice.momentum_autocorr(cfg, params["runs"])
     beta = params["beta"]
     lag0_err = abs(report.empirical[0] - beta) / beta
@@ -452,12 +431,12 @@ def _run_autocorr(params, seed, out_dir):
     return checks, result, [acorr_path.name, spec_path.name]
 
 
-def _run_mb_stats(params, seed, out_dir):
+def _run_mb_stats(params, out_dir):
     mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     n = params["n"]
     if n < 10:
         raise ConfigError("n must be at least 10")
-    v = statmech.sample_mb(mb, n, seed)
+    v = statmech.sample_mb(mb, n, params["seed"])
     ke = float(np.mean(0.5 * mb.m * v * v))
     ks = statmech.ks_chi2_three(v**2 / mb.sigma**2)
 
@@ -493,7 +472,7 @@ def _run_mb_stats(params, seed, out_dir):
     return checks, result, []
 
 
-def _run_invert(params, seed, out_dir):
+def _run_invert(params, out_dir):
     try:
         Phi = RationalFunction.from_text(params["phi"])
     except ZeroDivisionError as exc:   # a zero denominator
@@ -546,8 +525,8 @@ def _coeff_distance(a, b):
 _RUNNERS = {
     "synth": _run_synth,
     "couple": _run_couple,
-    "line-sim": lambda p, s, o: _run_wave_sim(p, s, o, "line"),
-    "string-sim": lambda p, s, o: _run_wave_sim(p, s, o, "string"),
+    "line-sim": lambda p, o: _run_wave_sim(p, o, "line"),
+    "string-sim": lambda p, o: _run_wave_sim(p, o, "string"),
     "lattice-sim": _run_lattice_sim,
     "autocorr": _run_autocorr,
     "mb-stats": _run_mb_stats,
@@ -604,15 +583,14 @@ def _run_report(args):
 def _run_experiment(args):
     out_dir = Path(args.out) if args.out else Path(".")
     (out_dir / "summary.json").unlink(missing_ok=True)
-    params, seed = resolve_params(args)
+    params = resolve_params(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks, result, artifacts = _RUNNERS[args.command](params, seed, out_dir)
+    checks, result, artifacts = _RUNNERS[args.command](params, out_dir)
     ok = all(c["pass"] for c in checks.values())
     summary = {
         "id": args.id or args.command,
         "command": args.command,
-        "config": {**{k: _jsonable(v) for k, v in params.items()},
-                   "seed": seed},
+        "config": {k: _jsonable(v) for k, v in params.items()},
         "checks": _jsonable(checks),
         "result": _jsonable(result),
         "artifacts": artifacts,

@@ -195,39 +195,38 @@ class Observable:
 
     h and h_bar are the effective state-read rows of the forward and
     backward representations (the port current i0 trades between the
-    state and the wave differently in the two)."""
+    state and the wave differently in the two): h = c - d c0 and
+    h_bar = c + d c0, so c is their mean."""
 
-    c: np.ndarray
-    d: float
     h: np.ndarray
     h_bar: np.ndarray
+    d: float
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float).reshape(-1)
         h = np.array(self.h, dtype=float).reshape(-1)
         hb = np.array(self.h_bar, dtype=float).reshape(-1)
-        if not (c.size == h.size == hb.size):
+        if h.size != hb.size:
             raise ValueError("observable rows disagree in length")
-        if np.max(np.abs(h + hb - 2.0 * c)) > 1e-12 * max(1.0, np.max(np.abs(c))):
-            raise ValueError("rows must satisfy h + h_bar = 2c")
-        for arr in (c, h, hb):
+        for arr in (h, hb):
             arr.setflags(write=False)
-        object.__setattr__(self, "c", c)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "h_bar", hb)
         object.__setattr__(self, "d", float(self.d))
+        if self.d == 0.0 and not np.any(self.c):
+            raise TrivialObservableError(
+                "observable must read the state or the port current"
+            )
+
+    @property
+    def c(self):
+        return (self.h + self.h_bar) / 2.0
 
     @classmethod
     def build(cls, load: LosslessRealization, c, d):
         """Make the observable rows for a given load's port row c0."""
         c = np.asarray(c, dtype=float).reshape(-1)
-        d = float(d)
-        if np.all(c == 0.0) and d == 0.0:
-            raise TrivialObservableError(
-                "observable must read the state or the port current"
-            )
-        c0 = load.ss.c
-        return cls(c, d, c - d * c0, c + d * c0)
+        port = d * load.ss.c    # d i0 read through the port row c0
+        return cls(c - port, c + port, d)
 
 
 def close_loops(load: LosslessRealization) -> CoupledModelPair:
@@ -282,8 +281,6 @@ def observable_transfers(pair: CoupledModelPair, obs: Observable):
     eigenproblems per side). A pole is cancelled when the numerator
     vanishes on it to first order; no root of a numerator is computed.
     """
-    if np.all(obs.h == 0.0) and obs.d == 0.0:
-        raise TrivialObservableError("transfer pair undefined for y = 0")
     forward, backward = pair.transfer_bases
     return (_port_transfer(forward, obs.h, obs.d),
             _port_transfer(backward, obs.h_bar, obs.d))

@@ -72,6 +72,31 @@ from .waveline import ReflectionWindowError
 
 _CHUNK = 512  # cap on the half-width h of a 2h + 1 sample trig-GEMM block
 
+# Longest chain grid. integrate peaks at 80 bytes per sample (tracemalloc)
+# and keeps 40: 160 MB at the limit. lattice-sim's half step stops its own
+# grid at 1e6 samples, about 200 MB. Acceptance 07's 7601 samples and the
+# README's largest grid (lattice-sim's 4001-sample half step) pass.
+MAX_SAMPLES = 2_000_000
+
+
+def _grid_samples(dt, t_max):
+    """Sample count floor(t_max / dt + 1e-12) + 1 of the grid m dt; refuses,
+    before any allocation, an empty grid or one past MAX_SAMPLES."""
+    if not 0 < dt <= t_max < np.inf:
+        raise ValueError("need 0 < dt <= t_max < inf")
+    steps = t_max / dt + 1e-12
+    if steps >= MAX_SAMPLES:
+        raise ValueError(f"t_max = {t_max} over dt = {dt} is a grid of "
+                         f"{steps + 1:.4g} samples; at most {MAX_SAMPLES} "
+                         "are allowed")
+    return int(steps) + 1
+
+
+def _mode_frequencies(n, c):
+    """omega_k = 2c sin(pi k / (2(n+1))), k = 1..n, of n clamped sites."""
+    k = np.arange(1, n + 1)
+    return 2.0 * c * np.sin(np.pi * k / (2.0 * (n + 1)))
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -82,7 +107,8 @@ class ChainConfig:
     inside the window where the clamped ends cannot influence the
     center: disturbances travel at most one site per 1/c time (group
     speed of the dispersion 2c sin(kappa/2) is bounded by c), so the
-    guard requires t_max < M/c.
+    guard requires t_max < M/c. The grid holds from 3 samples, the least
+    the Langevin residual and the wave spectrum take, to MAX_SAMPLES.
     """
 
     half_width: int
@@ -102,8 +128,10 @@ class ChainConfig:
                              f"positive finite float; got c = {self.c}")
         if not 0 <= self.beta < np.inf:
             raise ValueError("beta must be nonnegative and finite")
-        if not 0 < self.dt <= self.t_max < np.inf:
-            raise ValueError("need 0 < dt <= t_max < inf")
+        if _grid_samples(self.dt, self.t_max) < 3:
+            raise ValueError(
+                f"t_max = {self.t_max} holds one step of dt = {self.dt}; "
+                "a chain run needs at least 3 samples")
         if self.guarded and self.t_max >= self.half_width / self.c:
             raise ReflectionWindowError(
                 f"t_max = {self.t_max} reaches the clamped ends; the "
@@ -120,7 +148,7 @@ class ChainConfig:
 
     @property
     def n_steps(self):
-        return int(np.floor(self.t_max / self.dt + 1e-12))
+        return _grid_samples(self.dt, self.t_max) - 1
 
     @property
     def t_grid(self):
@@ -128,9 +156,7 @@ class ChainConfig:
 
     def mode_frequencies(self):
         """omega_k = 2c sin(pi k / (2(n+1))), k = 1..n; all positive."""
-        n = self.n_sites
-        k = np.arange(1, n + 1)
-        return 2.0 * self.c * np.sin(np.pi * k / (2.0 * (n + 1)))
+        return _mode_frequencies(self.n_sites, self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,14 +595,12 @@ def isolated_site_series(n_sites, c, t_max, dt):
     sum_k phi_k(end)^2 cos(omega_k t) carries all n_sites distinct
     frequencies — the cleanest probe for line-counting experiments.
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
-    if not (c > 0 and dt > 0 and t_max >= dt):
-        raise ValueError("need c > 0 and 0 < dt <= t_max")
+    if n_sites < 1 or not c > 0:
+        raise ValueError("need at least one site and c > 0")
+    n_t = _grid_samples(dt, t_max)
     k = np.arange(1, n_sites + 1)
     weight = (2.0 / (n_sites + 1)) * np.sin(np.pi * k / (n_sites + 1)) ** 2
-    omega = 2.0 * c * np.sin(np.pi * k / (2.0 * (n_sites + 1)))
-    n_t = int(np.floor(t_max / dt + 1e-12)) + 1
+    omega = _mode_frequencies(n_sites, c)
     p_end = _ensemble_series(dt, n_t, omega, weight[:, None],
                              np.zeros((n_sites, 1)))[:, 0]
     return np.arange(n_t) * dt, p_end

@@ -12,8 +12,8 @@ module keeps the conventions in one place:
   the denominator is made monic. A quotient of proportional numerators
   whose operands a Routh test proves Hurwitz and anti-Hurwitz, as in
   W / Wbar, is coprime and skips root matching;
-* roots within ``SNAP_TOL`` (relative) of the imaginary axis are
-  classified as axis roots, and returned snapped onto it.
+* roots within ``SNAP_TOL`` of the imaginary axis (``_axis_distance``)
+  are axis roots; foster_data reads a residue at 1j Im p, moving no root.
 
 The symmetry predicates read closed forms off the reduced (num, den)
 and form no product: inner iff num = +-den(-s) over a stable den, odd

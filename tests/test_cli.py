@@ -13,7 +13,7 @@ import pytest
 
 import wavebath
 import wavebath.cli
-from wavebath import waveline
+from wavebath import lattice, waveline
 from wavebath.cli import main
 from wavebath.realization import FosterSpec
 
@@ -244,6 +244,37 @@ class TestDeterminism:
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
 
 
+# one short run of every experiment; exit 0 or 1 both write a summary
+SEED_RUNS = {
+    "synth": ["--foster", "k0=1"],
+    "couple": ["--foster", "k0=1"],
+    "line-sim": ["--foster", "k0=1", "--init", "noise", "--x-max", "4",
+                 "--t-max", "3"],
+    "string-sim": ["--foster", "k0=1", "--init", "noise", "--x-max", "4",
+                   "--t-max", "3"],
+    "lattice-sim": ["--M", "10", "--t-max", "5"],
+    "autocorr": ["--M", "10", "--t-max", "5", "--runs", "2"],
+    "mb-stats": ["--n", "1000"],
+    "invert": ["--phi", "1;1 0 -1"],
+}
+
+
+class TestSeedPath:
+    def test_every_experiment_is_covered(self):
+        assert sorted(SEED_RUNS) == sorted(wavebath.cli._RUNNERS)
+
+    @pytest.mark.parametrize("command", sorted(SEED_RUNS))
+    def test_default_then_config_then_flag(self, tmp_path, command):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{command}]\nseed = 12\n")
+        argv = [command, *SEED_RUNS[command]]
+        for extra, seed in (([], 0), (["--config", str(ini)], 12),
+                            (["--config", str(ini), "--seed", "5"], 5)):
+            code, _, s = run(tmp_path, *argv, *extra)
+            assert code in (0, 1)
+            assert s["config"]["seed"] == seed
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, text):
         path = tmp_path / "run.ini"
@@ -386,6 +417,26 @@ class TestUsageErrors:
         proc = python(["-m", "wavebath.cli", *argv, "--out",
                        str(tmp_path / "run")])
         assert_usage_error(proc, name)
+
+    @pytest.mark.parametrize("argv, chain", [
+        (["autocorr", "--M=10", "--dt=0.05", "--t-max=0.05", "--runs=2"],
+         dict(half_width=10, dt=0.05, t_max=0.05)),
+        (["lattice-sim", "--M", "10", "--dt", "1", "--t-max", "1"],
+         dict(half_width=10, dt=1.0, t_max=1.0)),
+        (["lattice-sim", "--M=2", "--dt=1e-300", "--t-max=1.0"],
+         dict(half_width=2, dt=1e-300, t_max=1.0)),
+    ], ids=["autocorr-one-step", "lattice-sim-one-step",
+            "lattice-sim-dt-1e-300"])
+    def test_chain_grid_refused_by_chain_config(self, tmp_path, capsys, argv,
+                                                chain):
+        with pytest.raises(ValueError) as info:
+            lattice.ChainConfig(c=1.0, beta=1.0, seed=0, **chain)
+        code, _, s = run(tmp_path, *argv)
+        assert code == 2
+        assert s is None
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: {info.value}\n"
+        assert "dt" in err and "t_max" in err
 
     def test_single_step_wave_spectrum_exits_two(self, tmp_path, capsys):
         # two samples of the incoming wave: their Hann window is all zeros
@@ -548,7 +599,7 @@ class TestInternalErrors:
         assert issubclass(wavebath.cli.ConfigError, ValueError)
 
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
-        def broken(params, seed, out_dir):
+        def broken(params, out_dir):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(wavebath.cli._RUNNERS, "couple", broken)

@@ -614,6 +614,12 @@ class TestObservableTransfers:
         with pytest.raises(TrivialObservableError):
             Observable.build(TANK, [0.0, 0.0], 0.0)
 
+    def test_constructor_refuses_the_trivial_observable(self):
+        with pytest.raises(TrivialObservableError):
+            Observable(np.zeros(2), np.zeros(2), 0.0)
+        obs = Observable(np.ones(2), np.ones(2), 0.0)
+        np.testing.assert_array_equal(obs.c, np.ones(2))
+
 
 class TestInvertK:
     def test_capacitor_round(self):

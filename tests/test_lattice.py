@@ -29,7 +29,8 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import _CHUNK, _dst1, _ensemble_series, _j0_nodes
+from wavebath.lattice import (MAX_SAMPLES, _CHUNK, _dst1, _ensemble_series,
+                              _j0_nodes)
 from wavebath.ratfun import RationalFunction
 
 
@@ -80,6 +81,27 @@ class TestChainConfig:
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises((ValueError, ReflectionWindowError)):
             small_cfg(**kw)
+
+    def test_one_step_grid_refused_by_name(self):
+        with pytest.raises(ValueError, match="at least 3") as info:
+            small_cfg(dt=1.0, t_max=1.5)
+        assert "dt" in str(info.value) and "t_max" in str(info.value)
+        assert small_cfg(dt=1.0, t_max=2.0).n_steps == 2
+
+    # construction checks the grid and allocates nothing, so grids past
+    # the limit are built here only to be refused
+    @pytest.mark.parametrize("dt, t_max", [
+        (1e-300, 1.0), (5e-324, 1.0), (1.0, float(MAX_SAMPLES)),
+    ], ids=["dt-1e-300", "ratio-past-float-range", "one-over-limit"])
+    def test_grid_past_the_limit_refused_by_name(self, dt, t_max):
+        with pytest.raises(ValueError, match="at most") as info:
+            small_cfg(half_width=2, dt=dt, t_max=t_max, guarded=False)
+        assert "dt" in str(info.value) and "t_max" in str(info.value)
+
+    def test_grid_at_the_limit_accepted(self):
+        cfg = small_cfg(half_width=2, dt=1.0, t_max=MAX_SAMPLES - 1.0,
+                        guarded=False)
+        assert cfg.n_steps + 1 == MAX_SAMPLES
 
     def test_one_reflection_window_error(self):
         assert ReflectionWindowError is waveline.ReflectionWindowError
@@ -561,6 +583,13 @@ class TestIsolatedSeries:
             isolated_site_series(0, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             isolated_site_series(3, 1.0, 0.05, 0.1)
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (float("inf"), 0.1), (1.0, 1e-300), (float(MAX_SAMPLES), 1.0),
+    ], ids=["t-max-inf", "dt-1e-300", "one-over-limit"])
+    def test_shares_the_chain_grid_refusals(self, t_max, dt):
+        with pytest.raises(ValueError, match="t_max"):
+            isolated_site_series(3, 1.0, t_max, dt)
 
 
 @settings(max_examples=15, deadline=None)
