@@ -368,7 +368,11 @@ def _chain_config(params, **options):
 def _run_lattice_sim(params, out_dir):
     cfg = _chain_config(params, guarded=params["guarded"])
     # built before any array: its grid has twice the samples
-    half = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
+    try:
+        half = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
+    except ValueError as exc:
+        raise ValueError(f"dt = {cfg.dt} passes, but the Langevin order "
+                         f"check also runs its half step: {exc}") from exc
     state = lattice.sample_invariant(cfg)
     trace = lattice.integrate(state, cfg)
     h0 = lattice.chain_energy(state, cfg)

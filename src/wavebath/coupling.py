@@ -26,11 +26,11 @@ pair's (Gamma, Gamma_bar, g). Their denominators are det(sI - Gamma),
 expanded from the poles, and det(sI - Gamma_bar) =
 (-1)^n det(-sI - Gamma). Their numerators are linear in the observable
 (h, d): each side keeps a basis of n + 1 coefficient rows, row i being
-e_i adj(sI - Gamma) g by the matrix-determinant lemma, with the rows'
-values and slopes at the poles. An observable then costs a few small
-matrix-vector products per side; a pole it cannot see is cancelled by
-reading the numerator's value on it from the basis, so no numerator
-root finding is run.
+e_i adj(sI - Gamma) g, read off a Hessenberg reduction of (Gamma, g),
+with the rows' values and slopes at the poles. An observable then costs
+a few small matrix-vector products per side; a pole it cannot see is
+cancelled by reading the numerator's value on it from the basis, so no
+numerator root finding is run.
 scattering_K maps an impedance's coefficients to K, for the round-trip
 check of a synthesized load.
 """
@@ -132,10 +132,8 @@ class CoupledModelPair:
     def transfer_bases(self):
         """Forward and backward _TransferBasis of observable_transfers.
 
-        Built on first access from one stacked eigvals call of n
-        matrices per side, so a pair read by a single observable pays n
-        eigenproblems per side where one would do; the bases pay off
-        once a pair is read by several observables.
+        Built on first access, one O(n^3) Hessenberg reduction per side
+        and no eigenproblem; every observable of the pair reads them.
         """
         den = self.K.den
         den_bar = den.reflected().scaled(-1.0 if self.dim % 2 else 1.0)
@@ -165,20 +163,41 @@ class _TransferBasis:
 
     @classmethod
     def build(cls, gamma, gain, den, poles, sign):
-        """Rows by the matrix-determinant lemma, e_i adj(sI - gamma) g =
-        det(sI - gamma + g e_i^T) - den(s), the n shifted matrices in
-        one stacked eigvals call. Both determinants are monic and
-        expanded from computed roots, so each difference has a zero
-        top coefficient."""
+        """Rows from the controller-Hessenberg form of (gamma, g), with
+        no eigenproblem (Varga & Sima, Int. J. Control 33, 1981).
+
+        Householder reflectors zero [g | gamma] below its subdiagonal,
+        column by column: Q^T g = beta e_1 and H = Q^T gamma Q is upper
+        Hessenberg, so adj(sI - gamma) g = beta Q adj(sI - H) e_1. Rows
+        2..n of (sI - H) x = det e_1 give x = adj(sI - H) e_1 by Hyman's
+        backward recurrence (Wilkinson, The Algebraic Eigenvalue
+        Problem, 1965): x_n = prod h_{k,k-1},
+        x_{k-1} = ((s - h_kk) x_k - sum_{j>k} h_kj x_j) / h_{k,k-1}. No
+        x_k reaches degree n, so the rows' top coefficient is exactly
+        0. A lossless pair is controllable, so no h_{k,k-1} vanishes:
+        an uncontrollable mode of Gamma + Gamma^T = -g g^T / 2 sits on
+        the axis, where the pair's pole margin refuses it."""
         n = gain.size
-        shifted = np.repeat(gamma[None], n, axis=0)
-        idx = np.arange(n)
-        shifted[idx, :, idx] -= gain  # shifted[i] = gamma - g e_i^T
-        rows = np.empty((n + 1, n + 1))
-        for i, lam in enumerate(np.linalg.eigvals(shifted)):
-            rows[i] = Polynomial.from_roots(lam).coeffs - den.coeffs
-        rows[n] = 2.0 * den.coeffs
-        rows *= sign
+        m = np.column_stack([gain, gamma])  # [g | gamma]
+        reflectors = []
+        for k in range(n - 1):  # zero column k of m below row k
+            v = _reflector(m[k:, k])
+            m[k:] -= np.outer(v, v @ m[k:])
+            m[:, k + 1:] -= np.outer(m[:, k + 1:] @ v, v)
+            reflectors.append(v)
+        beta, H = m[0, 0], m[:, 1:]
+        x = np.zeros((n, n))
+        x[n - 1, 0] = np.prod(np.diagonal(H, -1))
+        for k in range(n - 1, 0, -1):
+            acc = -(H[k, k:] @ x[k:])
+            acc[1:] += x[k, :-1]  # s x_k
+            x[k - 1] = acc / H[k, k - 1]
+        for k in reversed(range(n - 1)):  # x <- Q x
+            v = reflectors[k]
+            x[k:] -= np.outer(v, v @ x[k:])
+        rows = np.zeros((n + 1, n + 1))
+        rows[:n, :n] = (sign * beta) * x
+        rows[n] = (2.0 * sign) * den.coeffs
         values = np.zeros((n + 1, n), dtype=complex)
         slopes = np.zeros_like(values)
         for c in rows.T[::-1]:  # Horner's rule with its derivative
@@ -187,6 +206,14 @@ class _TransferBasis:
         for arr in (rows, poles, values, slopes):
             arr.setflags(write=False)
         return cls(rows, den, poles, values, slopes)
+
+
+def _reflector(x):
+    """v with (I - v v^T) x = -sign(x_0) |x| e_1 for a nonzero x; the
+    sign makes forming v cancel nothing."""
+    v = np.array(x, dtype=float)
+    v[0] += np.copysign(np.sqrt(v @ v), v[0])
+    return v * np.sqrt(2.0 / (v @ v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,9 +304,10 @@ def observable_transfers(pair: CoupledModelPair, obs: Observable):
     (h, d): pair.transfer_bases holds, per side, the n + 1 coefficient
     rows of e_i adj(sI - Gamma) g and 2 D and their values and slopes at
     the poles, so each side costs a few small matrix-vector products
-    and no eigenproblem. The first call on a pair builds the bases (n
-    eigenproblems per side). A pole is cancelled when the numerator
-    vanishes on it to first order; no root of a numerator is computed.
+    and no eigenproblem. The first call on a pair builds the bases (one
+    Hessenberg reduction per side, no eigenproblem). A pole is cancelled
+    when the numerator vanishes on it to first order; no root of a
+    numerator is computed.
     """
     forward, backward = pair.transfer_bases
     return (_port_transfer(forward, obs.h, obs.d),
@@ -371,52 +399,6 @@ def run_synthesis(Phi: RationalFunction) -> SynthesisChain:
     load = stage("realize", foster_realize, spec)
     pair = stage("couple", close_loops, load)
     return SynthesisChain(Phi, W, Wbar, K, Z, spec, load, pair)
-
-
-def match_observable_to_factor(load: LosslessRealization,
-                               pair: CoupledModelPair,
-                               W_target: RationalFunction) -> Observable:
-    """Observable whose forward wave transfer equals a given stable factor.
-
-    The map from the output row c to the numerator of
-    2 c (sI - Gamma)^{-1} b0 is linear and, for a minimal load,
-    invertible onto polynomials of degree < n; solving it recovers the
-    unique state observable (d = 0) whose driven output has spectrum
-    W_target(s) W_target(-s). W_target must be strictly proper with
-    the forward characteristic polynomial as denominator.
-    """
-    n = load.dim
-    dn = W_target.num.degree
-    dd = W_target.den.degree
-    if dn is None or dd is None or dn >= dd or dd != n:
-        raise ValueError(
-            "target factor must be strictly proper with denominator "
-            "degree equal to the load dimension"
-        )
-    if not _dens_match(pair.K.den, W_target.den):
-        raise ValueError(
-            "target denominator is not the forward characteristic polynomial"
-        )
-    # column i: the coefficients of e_i adj(sI - Gamma) g, degree < n
-    cols = pair.transfer_bases[0].rows[:n, :n].T
-    target = np.zeros(n)
-    target[: W_target.num.coeffs.size] = W_target.num.coeffs
-    c, res, rank, _ = np.linalg.lstsq(cols, target, rcond=None)
-    if rank < n:
-        raise ValueError("load is not minimal; factor matching is singular")
-    obs = Observable.build(load, c, 0.0)
-    got, _ = observable_transfers(pair, obs)
-    if not got.close_to(W_target, tol=1e-7):
-        raise ValueError("factor matching failed to reproduce the target")
-    return obs
-
-
-def _dens_match(p, q, tol=1e-9):
-    a, b = p.coeffs, q.coeffs
-    if a.size != b.size:
-        return False
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    return bool(np.max(np.abs(a - b)) <= tol * scale)
 
 
 # ---------------------------------------------------------------------

@@ -78,6 +78,13 @@ _CHUNK = 512  # cap on the half-width h of a 2h + 1 sample trig-GEMM block
 # README's largest grid (lattice-sim's 4001-sample half step) pass.
 MAX_SAMPLES = 2_000_000
 
+# Largest momentum_autocorr ensemble, in runs x (samples + sites). Its
+# arrays peak near 64 bytes per run and sample (the p0 series and their
+# FFTs) and 16 per run and site (the mode weights), so about 256 MB at
+# the limit; acceptance 07 (200 runs of 7601 samples and 4001 sites,
+# 2.3e6) peaks at 109 MB under tracemalloc.
+MAX_RUN_ENTRIES = 4_000_000
+
 
 def _grid_samples(dt, t_max):
     """Sample count floor(t_max / dt + 1e-12) + 1 of the grid m dt; refuses,
@@ -554,12 +561,19 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     over the odd modes only, the even ones having a node at the center;
     q0 is evaluated only over the reported lags. Lags are reported up to
     half the run length, capped at the reflection-free window M/(2c).
+    An ensemble past MAX_RUN_ENTRIES is refused before any allocation.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     n, ctr = cfg.n_sites, cfg.center
+    T = cfg.n_steps + 1
+    if n_runs * (T + n) > MAX_RUN_ENTRIES:
+        raise ValueError(
+            f"runs = {n_runs} over a grid of {T} samples (t_max = "
+            f"{cfg.t_max}, dt = {cfg.dt}) and {n} sites is "
+            f"{n_runs * (T + n):.4g} run entries; at most "
+            f"{MAX_RUN_ENTRIES} are allowed")
     t = cfg.t_grid
-    T = t.size
     max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))
     # the center row phi0(k) is proportional to sin(pi k / 2): every even
     # mode has a node there, so p0 and q0 are sums over the odd modes

@@ -10,8 +10,10 @@ module keeps the conventions in one place:
 * rational functions are normalized on construction: common root pairs
   are cancelled by root matching (relative tolerance ``MATCH_TOL``) and
   the denominator is made monic. A quotient of proportional numerators
-  whose operands a Routh test proves Hurwitz and anti-Hurwitz, as in
-  W / Wbar, is coprime and skips root matching;
+  whose denominators lie on opposite sides of the axis, as in W / Wbar,
+  is coprime and skips root matching. Each polynomial runs the Routh
+  tests of that proof once (Polynomial.half_planes), so the W / Wbar of
+  a pair's observables, which share both denominators, pay them once;
 * roots within ``SNAP_TOL`` of the imaginary axis (``_axis_distance``)
   are axis roots; foster_data reads a residue at 1j Im p, moving no root.
 
@@ -80,7 +82,7 @@ class Polynomial:
     p(s) -> p(-s), and root extraction with conjugate symmetrization.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_half_planes")
 
     def __init__(self, coeffs, rel_tol=0.0):
         c = _trim(coeffs, rel_tol)
@@ -226,6 +228,33 @@ class Polynomial:
 
     def max_abs_coeff(self):
         return float(np.max(np.abs(self.coeffs)))
+
+    @property
+    def half_planes(self):
+        """(left, right): whether every root has Re < -sigma, and whether
+        every root has Re > sigma, for sigma = MATCH_TOL (1 + R), R
+        Fujiwara's bound on the root moduli. Routh's test on p and on
+        p(-s), run on first access and kept: a polynomial of positive
+        degree is on one side at most, and a nonzero constant, with no
+        root, is on both.
+
+        Opposite verdicts prove two polynomials coprime without a root:
+        their roots are more than sigma_p + sigma_q apart, while root
+        matching (_cancel_common) pairs a numerator root r within
+        MATCH_TOL (1 + |r|) <= sigma_num, so it would cancel nothing
+        unless np.roots misplaced a root by more than that.
+        """
+        try:
+            return self._half_planes
+        except AttributeError:
+            pass
+        c = self.coeffs.tolist()
+        sigma = MATCH_TOL * (1.0 + _root_bound(c))
+        left = _hurwitz_beyond(c, sigma)
+        right = ((len(c) == 1 or not left) and _hurwitz_beyond(
+            [-x if k % 2 else x for k, x in enumerate(c)], sigma))
+        object.__setattr__(self, "_half_planes", (left, right))
+        return left, right
 
 
 def _as_poly(x):
@@ -382,27 +411,6 @@ def _hurwitz_beyond(c, sigma):
     return True
 
 
-def _split_by_axis(num, den):
-    """Whether num and den are proved coprime without computing a root.
-
-    With sigma = MATCH_TOL (1 + R), R a root bound of both, one of them
-    must have every root at Re < -sigma and the other every root at
-    Re > sigma. Their roots are then more than 2 sigma apart, twice
-    the radius within which _cancel_common matches a pair, so root
-    matching would cancel nothing unless np.roots misplaced a root by
-    more than sigma.
-    """
-    a, b = num.coeffs.tolist(), den.coeffs.tolist()
-    sigma = MATCH_TOL * (1.0 + max(_root_bound(a), _root_bound(b)))
-
-    def mirror(c):  # p(s) -> p(-s)
-        return [-x if k % 2 else x for k, x in enumerate(c)]
-
-    return ((_hurwitz_beyond(b, sigma) and _hurwitz_beyond(mirror(a), sigma))
-            or (_hurwitz_beyond(a, sigma)
-                and _hurwitz_beyond(mirror(b), sigma)))
-
-
 class RationalFunction:
     """Quotient of two real polynomials, kept in reduced monic form.
 
@@ -410,8 +418,8 @@ class RationalFunction:
     and scales so the denominator is monic. The zero function is
     represented as 0/1. Every instance is reduced: a construction with
     reduce=False states why its operands are coprime. Division with
-    proportional numerators skips root matching when _split_by_axis
-    proves one side Hurwitz and the other anti-Hurwitz.
+    proportional numerators skips root matching when the operands'
+    denominators lie on opposite sides of the axis (half_planes).
     """
 
     __slots__ = ("num", "den")
@@ -515,12 +523,17 @@ class RationalFunction:
         if k is not None:
             # proportional numerators cancel exactly; multiplying them
             # out and deflating the matched roots back off would amplify
-            # whatever noise the operands carry. A W / Wbar quotient has
-            # a Hurwitz and an anti-Hurwitz side: _split_by_axis proves
-            # them coprime, and root matching is skipped
-            num = other.den.scaled(k)
-            return RationalFunction(num, self.den,
-                                    reduce=not _split_by_axis(num, self.den))
+            # whatever noise the operands carry. The quotient, other.den
+            # scaled (which moves no root) over self.den, skips root
+            # matching when their half_planes verdicts are opposite. W /
+            # Wbar has a Hurwitz and an anti-Hurwitz side, and the
+            # observables of one pair share both denominators, so the
+            # verdicts are computed once per pair
+            left, right = self.den.half_planes
+            num_left, num_right = other.den.half_planes
+            coprime = (num_left and right) or (num_right and left)
+            return RationalFunction(other.den.scaled(k), self.den,
+                                    reduce=not coprime)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -1,15 +1,21 @@
 """Coefficient oracles for the tests: transfers by the Leverrier iteration.
 
 The library never expands a resolvent this way; it reads transfers off
-eigenvalues (synth's Foster data, the Blaschke K, the determinant-lemma
-observable transfers). These functions compute the same objects by an
-independent route, one pass of matrix products with no eigensolver, so
-the tests can compare the two. The float iteration loses accuracy as the
-dimension grows, so the tests compare against it on small loads.
+eigenvalues (synth's Foster data, the Blaschke K) and off a Hessenberg
+reduction (the observable transfers). These functions compute the same
+objects by an independent route, one pass of matrix products with no
+eigensolver, so the tests can compare the two. The float iteration
+loses accuracy as the dimension grows, so the tests compare against it
+on small loads.
+
+match_observable_to_factor inverts the observable transfer map: no
+command reaches it, and the tests use it to check a synthesized load
+against its spectrum.
 """
 
 import numpy as np
 
+from wavebath.coupling import Observable, observable_transfers
 from wavebath.ratfun import Polynomial, RationalFunction
 from wavebath.realization import StateSpace
 
@@ -54,3 +60,47 @@ def scattering_K_statespace(pair, load):
     fwd = transfer_function(StateSpace(pair.gamma, b0, c0))
     bwd = transfer_function(StateSpace(pair.gamma_bar, b0, c0))
     return -(fwd / bwd)
+
+
+def match_observable_to_factor(load, pair, W_target):
+    """Observable whose forward wave transfer equals a given stable factor.
+
+    The map from the output row c to the numerator of
+    2 c (sI - Gamma)^{-1} b0 is linear and, for a minimal load,
+    invertible onto polynomials of degree < n; solving it recovers the
+    unique state observable (d = 0) whose driven output has spectrum
+    W_target(s) W_target(-s). W_target must be strictly proper with
+    the forward characteristic polynomial as denominator.
+    """
+    n = load.dim
+    dn = W_target.num.degree
+    dd = W_target.den.degree
+    if dn is None or dd is None or dn >= dd or dd != n:
+        raise ValueError(
+            "target factor must be strictly proper with denominator "
+            "degree equal to the load dimension"
+        )
+    if not _dens_match(pair.K.den, W_target.den):
+        raise ValueError(
+            "target denominator is not the forward characteristic polynomial"
+        )
+    # column i: the coefficients of e_i adj(sI - Gamma) g, degree < n
+    cols = pair.transfer_bases[0].rows[:n, :n].T
+    target = np.zeros(n)
+    target[: W_target.num.coeffs.size] = W_target.num.coeffs
+    c, res, rank, _ = np.linalg.lstsq(cols, target, rcond=None)
+    if rank < n:
+        raise ValueError("load is not minimal; factor matching is singular")
+    obs = Observable.build(load, c, 0.0)
+    got, _ = observable_transfers(pair, obs)
+    if not got.close_to(W_target, tol=1e-7):
+        raise ValueError("factor matching failed to reproduce the target")
+    return obs
+
+
+def _dens_match(p, q, tol=1e-9):
+    a, b = p.coeffs, q.coeffs
+    if a.size != b.size:
+        return False
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return bool(np.max(np.abs(a - b)) <= tol * scale)

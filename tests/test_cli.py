@@ -438,6 +438,36 @@ class TestUsageErrors:
         assert err == f"{argv[0]}: {info.value}\n"
         assert "dt" in err and "t_max" in err
 
+    def test_half_step_grid_is_named_as_the_langevin_check(
+            self, tmp_path, capsys, monkeypatch):
+        # dt = 1e-6 over t_max = 1 is 1e6 + 1 samples, inside the limit;
+        # the Langevin order check's half step doubles them
+        def refuse(*args):
+            raise AssertionError("a chain was sampled")
+
+        monkeypatch.setattr(lattice, "sample_invariant", refuse)
+        code, _, s = run(tmp_path, "lattice-sim", "--M=2", "--dt=1e-6",
+                         "--t-max=1", "--no-guarded")
+        assert code == 2
+        assert s is None
+        err = capsys.readouterr().err
+        assert err.startswith("lattice-sim: dt = 1e-06 passes, but the "
+                              "Langevin order check also runs its half "
+                              "step: t_max = 1.0 over dt = 5e-07 ")
+        assert err.count("\n") == 1
+
+    def test_oversized_ensemble_exits_two_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chain was sampled")
+
+        monkeypatch.setattr(lattice, "sample_invariant", refuse)
+        assert_refused(capsys, ["autocorr", "--runs=1000000000000",
+                                "--out", str(tmp_path / "run")],
+                       "runs = 1000000000000 over a grid of 1521 samples "
+                       "(t_max = 380.0, dt = 0.25) and 801 sites")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
     def test_single_step_wave_spectrum_exits_two(self, tmp_path, capsys):
         # two samples of the incoming wave: their Hann window is all zeros
         assert_refused(capsys, ["autocorr", "--M=10", "--dt=0.05",

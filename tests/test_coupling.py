@@ -17,7 +17,8 @@ import pytest
 import wavebath.coupling
 import wavebath.ratfun
 import wavebath.realization
-from leverrier import scattering_K_statespace, transfer_function
+from leverrier import (match_observable_to_factor, scattering_K_statespace,
+                       transfer_function)
 from wavebath.coupling import (
     CoupledModelPair,
     InvalidLoadError,
@@ -28,7 +29,6 @@ from wavebath.coupling import (
     close_loops,
     coupling_report,
     invert_K_to_Z,
-    match_observable_to_factor,
     mirror_residual,
     observable_transfers,
     run_synthesis,
@@ -86,27 +86,37 @@ def ceiling_family(seed, n_tanks, count=20):
             for spec in ceiling_specs(seed, n_tanks, count)]
 
 
+def exact_adjugate(A, b):
+    """Coefficients of adj(sI - A) b (n vectors) and of det(sI - A),
+    highest degree first, as Fractions: the Leverrier iteration
+    B_k = A B_(k-1) + a_k I in exact rational arithmetic on the float
+    entries. A float is an integer over a power of two, so the iteration
+    runs on integer matrices over one common denominator."""
+    n = len(b)
+    entries = [Fraction(x) for x in A.ravel().tolist()]
+    scale = max(x.denominator for x in entries)
+    A = np.array([int(x * scale) for x in entries], dtype=object).reshape(n, n)
+    b = np.array([Fraction(x) for x in b.tolist()], dtype=object)
+    eye = np.identity(n, dtype=int).astype(object)
+    B, denom = eye, 1  # B_k = B / denom
+    adj, det = [], [Fraction(1)]
+    for k in range(1, n + 1):
+        adj.append(B.dot(b) / denom)
+        AB = A.dot(B)
+        trace = sum(AB.diagonal())
+        det.append(Fraction(-trace, k * scale * denom))
+        B = k * AB - trace * eye
+        denom *= k * scale
+    return adj, det
+
+
 def exact_leverrier(A, b, c):
     """Numerator and denominator coefficients (lowest degree first) of
-    c (sI - A)^{-1} b by the Leverrier iteration in exact rational
-    arithmetic on the float entries, rounded once at the end."""
-    n = len(b)
-    A = [[Fraction(x) for x in row] for row in A.tolist()]
-    b = [Fraction(x) for x in b.tolist()]
-    c = [Fraction(x) for x in c.tolist()]
-    B = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    num, den = [], [Fraction(1)]
-    for k in range(1, n + 1):
-        num.append(sum(c[i] * sum(B[i][j] * b[j] for j in range(n))
-                       for i in range(n)))
-        AB = [[sum(A[i][m] * B[m][j] for m in range(n)) for j in range(n)]
-              for i in range(n)]
-        a = -sum(AB[i][i] for i in range(n)) / k
-        den.append(a)
-        B = [[AB[i][j] + (a if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    return (np.array([float(x) for x in num[::-1]]),
-            np.array([float(x) for x in den[::-1]]))
+    c (sI - A)^{-1} b by exact_adjugate, rounded once at the end."""
+    adj, det = exact_adjugate(A, b)
+    c = np.array([Fraction(x) for x in c.tolist()], dtype=object)
+    return (np.array([float(c.dot(col)) for col in adj[::-1]]),
+            np.array([float(x) for x in det[::-1]]))
 
 
 def blind_row(pair, seed=0):
@@ -274,9 +284,10 @@ class TestIdentityCertificate:
             assert mirror_residual(pair) == 0.0
 
     def test_package_source_has_no_leverrier_oracle(self):
-        # static: the Leverrier oracles live in tests/leverrier.py; no
+        # static: the oracles live in tests/leverrier.py; no
         # library module defines, imports or names them, lazily included
-        oracles = {"transfer_function", "scattering_K_statespace"}
+        oracles = {"transfer_function", "scattering_K_statespace",
+                   "match_observable_to_factor", "_dens_match"}
         src = Path(wavebath.coupling.__file__).resolve().parent
         found = []
         for path in sorted(src.glob("*.py")):
@@ -544,18 +555,50 @@ class TestObservableTransfers:
             np.linalg, "eigvals",
             lambda M: eig_calls.append(M.shape) or eigvals(M))
         W, Wbar = observable_transfers(pair, first)
-        # the first observable builds the pair's bases: one stacked
-        # eigendecomposition of the n shifted matrices per side, none
-        # for the known poles
-        assert eig_calls == [(13, 13, 13), (13, 13, 13)]
+        # the first observable builds the pair's bases by a Hessenberg
+        # reduction per side: the pair's poles stay its only
+        # eigendecomposition
+        assert eig_calls == []
         assert W.den.degree == Wbar.den.degree == 13
+        assert (W / Wbar).close_to(pair.K, tol=1e-8)
         # a second observable reads the bases: no eigenproblem, no
-        # evaluation of a numerator polynomial
+        # evaluation of a numerator polynomial, and its quotient reads
+        # the half-plane verdicts the first one's quotient left on the
+        # shared denominators, so it runs no Routh test
+        routh = []
+        hurwitz = wavebath.ratfun._hurwitz_beyond
+        monkeypatch.setattr(
+            wavebath.ratfun, "_hurwitz_beyond",
+            lambda c, sigma: routh.append(len(c)) or hurwitz(c, sigma))
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         monkeypatch.setattr(Polynomial, "__call__", refuse)
         W2, Wbar2 = observable_transfers(pair, second)
         assert W2.den.degree == Wbar2.den.degree == 13
-        assert (W2 / Wbar2).close_to(pair.K, tol=1e-8)
+        quotient = W2 / Wbar2
+        assert routh == []
+        assert quotient.close_to(pair.K, tol=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec", [*(ceiling_specs(1, n // 2, count=1)[0] for n in (5, 13, 25)),
+                 FosterSpec(k0=0.0, tanks=((1.0, 1.0),))],
+        ids=["dim5", "dim13", "dim25", "critically_damped_tank"])
+    def test_basis_rows_match_exact_arithmetic(self, spec):
+        # row i < n is e_i adj(sI - Gamma) g. The critically damped
+        # tank's Gamma has a double pole at -1 and an eigenvector matrix
+        # of condition number 1.3e8; the Householder reduction never
+        # forms eigenvectors. The rows were within 4e-15 of the scale on
+        # 60 ceiling-family loads of dimensions 5 and 13
+        pair = close_loops(foster_realize(spec))
+        n = pair.dim
+        for basis, gamma, sign in zip(pair.transfer_bases,
+                                      (pair.gamma, pair.gamma_bar),
+                                      (1.0, -1.0)):
+            assert np.all(basis.rows[:n, n] == 0.0)
+            adj, _ = exact_adjugate(gamma, pair.input_gain)
+            want = np.array([[float(x) for x in col]
+                             for col in adj[::-1]]).T
+            got = sign * basis.rows[:n, :n]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim", [*range(1, 14), 25])
     def test_basis_matches_the_per_observable_route(self, dim):

@@ -1,6 +1,7 @@
 """Chain mechanics: spectra, Gibbs sampling, exact flow, wave identities."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.fft import dst
 from scipy.linalg import cholesky_banded, solve_banded
 from scipy.special import j0
 
-from wavebath import waveline
+from wavebath import lattice, waveline
 from wavebath.lattice import (
     AutocorrReport,
     ChainConfig,
@@ -29,8 +30,8 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import (MAX_SAMPLES, _CHUNK, _dst1, _ensemble_series,
-                              _j0_nodes)
+from wavebath.lattice import (MAX_RUN_ENTRIES, MAX_SAMPLES, _CHUNK, _dst1,
+                              _ensemble_series, _j0_nodes)
 from wavebath.ratfun import RationalFunction
 
 
@@ -462,6 +463,31 @@ class TestMomentumAutocorr:
         r1 = momentum_autocorr(cfg, 5)
         r2 = momentum_autocorr(cfg, 5)
         assert np.array_equal(r1.empirical, r2.empirical)
+
+    def test_ensemble_budget_refused_before_allocation(self, monkeypatch):
+        cfg = small_cfg()  # 81 samples, 13 sites
+        limit = MAX_RUN_ENTRIES // (cfg.n_steps + 1 + cfg.n_sites)
+
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lattice, "sample_invariant", sampled)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"runs = \d+ over a grid "
+                               r"of 81 samples \(t_max = 4.0, dt = 0.05\) "
+                               r"and 13 sites"):
+                momentum_autocorr(cfg, limit + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the ensemble's weights alone would take 2 x 7 x limit floats
+        assert peak < 2 * 7 * limit * 8 / 10
+        with pytest.raises(Sampled):
+            momentum_autocorr(cfg, limit)
 
     def test_runs_come_from_the_gibbs_sampler(self):
         cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
