@@ -46,6 +46,13 @@ from .realization import (
 )
 
 
+# Largest mb-stats sample. The command peaks at 64-74 bytes per speed
+# (tracemalloc at n = 1e6 and 1e5: the three components drawn per speed,
+# the speeds, and the KS statistic's sorted copy and CDF), so about
+# 150 MB at the limit; the default n is 1e5.
+MAX_SPEEDS = 2_000_000
+
+
 class ConfigError(ValueError):
     """Bad key, bad value, or unusable combination in the run config,
     or a `report` argument that is not a run directory."""
@@ -438,8 +445,8 @@ def _run_autocorr(params, out_dir):
 def _run_mb_stats(params, out_dir):
     mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     n = params["n"]
-    if n < 10:
-        raise ConfigError("n must be at least 10")
+    if not 10 <= n <= MAX_SPEEDS:
+        raise ConfigError(f"n = {n} speeds; need 10 <= n <= {MAX_SPEEDS}")
     v = statmech.sample_mb(mb, n, params["seed"])
     ke = float(np.mean(0.5 * mb.m * v * v))
     ks = statmech.ks_chi2_three(v**2 / mb.sigma**2)

@@ -85,6 +85,14 @@ MAX_SAMPLES = 2_000_000
 # 2.3e6) peaks at 109 MB under tracemalloc.
 MAX_RUN_ENTRIES = 4_000_000
 
+# Longest chain, in sites 2M + 1. On a short grid a site costs about 600
+# bytes (the Gibbs draw, its sine transforms, integrate's mode weights);
+# on a long one _ensemble_series' trig tables add 24 (_CHUNK + 1) bytes.
+# lattice-sim with t_max = M - 1 peaks at 14 KB per site at M = 2000 and
+# 4000 (tracemalloc), so about 280 MB at the limit, M = 10000.
+# Acceptance 07's and the README's chains (M = 2000 and 400) pass.
+MAX_SITES = 20_001
+
 
 def _grid_samples(dt, t_max):
     """Sample count floor(t_max / dt + 1e-12) + 1 of the grid m dt; refuses,
@@ -115,7 +123,8 @@ class ChainConfig:
     center: disturbances travel at most one site per 1/c time (group
     speed of the dispersion 2c sin(kappa/2) is bounded by c), so the
     guard requires t_max < M/c. The grid holds from 3 samples, the least
-    the Langevin residual and the wave spectrum take, to MAX_SAMPLES.
+    the Langevin residual and the wave spectrum take, to MAX_SAMPLES,
+    and the chain at most MAX_SITES sites.
     """
 
     half_width: int
@@ -129,6 +138,10 @@ class ChainConfig:
     def __post_init__(self):
         if int(self.half_width) != self.half_width or self.half_width < 2:
             raise ValueError("half_width must be an integer >= 2")
+        if self.n_sites > MAX_SITES:
+            raise ValueError(
+                f"M = {self.half_width} is a chain of {self.n_sites} sites; "
+                f"at most {MAX_SITES} (M = {MAX_SITES // 2}) are allowed")
         # c and c*c tested apart: c*c alone admits c < 0
         if not (self.c > 0 and 0 < self.c * self.c < np.inf):
             raise ValueError("coupling c must be positive, with c*c a "
@@ -201,26 +214,15 @@ class ParticleTrace:
                   (self.t_grid, self.q0, self.p0, self.w, self.w_bar))
 
 
-def dirichlet_potential(n_sites, c):
-    """Spring matrix V^2 of a clamped chain: tridiag(-c^2, 2c^2, -c^2)."""
-    V2 = np.zeros((n_sites, n_sites))
-    np.fill_diagonal(V2, 2.0 * c * c)
-    off = -c * c
-    idx = np.arange(n_sites - 1)
-    V2[idx, idx + 1] = off
-    V2[idx + 1, idx] = off
-    return V2
-
-
 @dataclass(frozen=True)
 class FactorStencil:
     """First-difference factor of the spring matrix.
 
     apply() realizes x_k = c (q_{k+1} - q_k) with the Dirichlet clamp
-    q_n = 0, i.e. the upper-bidiagonal square factor; adjoint() is its
-    transpose. Their product reproduces every interior row of the
-    spring matrix exactly; only the first diagonal entry differs (c^2
-    instead of 2c^2), the usual boundary defect of a one-sided factor.
+    q_n = 0, i.e. the upper-bidiagonal square factor R. R^T R reproduces
+    every interior row of the spring matrix exactly; only the first
+    diagonal entry differs (c^2 instead of 2c^2), the usual boundary
+    defect of a one-sided factor.
     """
 
     c: float
@@ -235,24 +237,6 @@ class FactorStencil:
         x[:-1] = self.c * (q[1:] - q[:-1])
         x[-1] = -self.c * q[-1]
         return x
-
-    def adjoint(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.empty_like(x)
-        y[0] = -self.c * x[0]
-        y[1:] = self.c * (x[:-1] - x[1:])
-        return y
-
-    def matrix(self, n_sites):
-        R = np.zeros((n_sites, n_sites))
-        np.fill_diagonal(R, -self.c)
-        idx = np.arange(n_sites - 1)
-        R[idx, idx + 1] = self.c
-        return R
-
-    def symbol_coeffs(self):
-        """Laurent coefficients of c(z - 1) * c(z^{-1} - 1), z^{-1}..z."""
-        return np.array([-self.c**2, 2.0 * self.c**2, -self.c**2])
 
 
 # ---------------------------------------------------------------------

@@ -7,13 +7,19 @@ module keeps the conventions in one place:
 * coefficients are stored lowest degree first, e.g. ``[1.0, 0.0, 2.0]``
   is ``1 + 2 s**2``;
 * the zero polynomial has degree ``None`` (never a negative number);
+* polynomials add, subtract and multiply; rational functions do not.
+  A rational function is built from a (num, den) pair that its caller
+  formed as polynomials, from text, or as a quotient, and otherwise
+  only negated or reflected;
 * rational functions are normalized on construction: common root pairs
-  are cancelled by root matching (relative tolerance ``MATCH_TOL``) and
-  the denominator is made monic. A quotient of proportional numerators
-  whose denominators lie on opposite sides of the axis, as in W / Wbar,
-  is coprime and skips root matching. Each polynomial runs the Routh
-  tests of that proof once (Polynomial.half_planes), so the W / Wbar of
-  a pair's observables, which share both denominators, pay them once;
+  are cancelled by root matching (relative tolerance ``MATCH_TOL``)
+  unless the construction says why its operands are coprime
+  (reduce=False), and the denominator is made monic. A quotient of
+  proportional numerators whose denominators lie on opposite sides of
+  the axis, as in W / Wbar, is coprime and skips root matching. Each
+  polynomial runs the Routh tests of that proof once
+  (Polynomial.half_planes), so the W / Wbar of a pair's observables,
+  which share both denominators, pay them once;
 * roots within ``SNAP_TOL`` of the imaginary axis (``_axis_distance``)
   are axis roots; foster_data reads a residue at 1j Im p, moving no root.
 
@@ -77,9 +83,11 @@ def _trim(coeffs, rel_tol=0.0):
 class Polynomial:
     """Real polynomial, coefficients lowest degree first.
 
-    Thin immutable wrapper over a float ndarray; supports the ring
-    operations, evaluation (Horner), differentiation, the reflection
-    p(s) -> p(-s), and root extraction with conjugate symmetrization.
+    Thin immutable wrapper over a float ndarray; supports the sum,
+    difference and product of two polynomials (a constant is
+    Polynomial([a]); no scalar is coerced), evaluation (Horner),
+    differentiation, the reflection p(s) -> p(-s), and root extraction
+    with conjugate symmetrization.
     """
 
     __slots__ = ("coeffs", "_half_planes")
@@ -141,16 +149,6 @@ class Polynomial:
     def leading(self):
         return float(self.coeffs[-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs.size == other.coeffs.size and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self):
         return f"Polynomial({self.coeffs.tolist()})"
 
@@ -164,24 +162,17 @@ class Polynomial:
         c[: other.coeffs.size] += other.coeffs
         return Polynomial(c)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(-self.coeffs)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def scaled(self, a):
         return Polynomial(self.coeffs * float(a))
@@ -260,8 +251,6 @@ class Polynomial:
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
-    if np.isscalar(x):
-        return Polynomial([float(x)])
     raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
 
 
@@ -417,9 +406,11 @@ class RationalFunction:
     Construction cancels common roots (relative tolerance MATCH_TOL)
     and scales so the denominator is monic. The zero function is
     represented as 0/1. Every instance is reduced: a construction with
-    reduce=False states why its operands are coprime. Division with
-    proportional numerators skips root matching when the operands'
-    denominators lie on opposite sides of the axis (half_planes).
+    reduce=False states why its operands are coprime. The operations
+    are negation, reflection and division by another RationalFunction;
+    there is no sum or product. Division with proportional numerators
+    skips root matching when the operands' denominators lie on opposite
+    sides of the axis (half_planes).
     """
 
     __slots__ = ("num", "den")
@@ -443,11 +434,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def constant(cls, a):
-        # coprime: the denominator 1 has no root
-        return cls(Polynomial([float(a)]), Polynomial.one(), reduce=False)
-
     @property
     def is_zero(self):
         return self.num.is_zero
@@ -459,9 +445,6 @@ class RationalFunction:
         )
 
     # -- evaluation ---------------------------------------------------
-
-    def __call__(self, s):
-        return self.evaluate(s)
 
     def evaluate(self, s):
         """Evaluate R(s); raises PoleEvaluationError on top of a pole.
@@ -489,34 +472,13 @@ class RationalFunction:
             return self.num.leading / self.den.leading
         return None
 
-    # -- field operations ---------------------------------------------
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
+    # -- operations ---------------------------------------------------
 
     def __neg__(self):
         # coprime: negation keeps the roots of the reduced self
         return RationalFunction(-self.num, self.den, reduce=False)
 
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return _as_rational(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _as_rational(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         k = _proportional(self.num, other.num)
@@ -535,9 +497,6 @@ class RationalFunction:
             return RationalFunction(other.den.scaled(k), self.den,
                                     reduce=not coprime)
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rational(other) / self
 
     def reflected(self):
         """R(s) -> R(-s)."""
@@ -560,7 +519,6 @@ class RationalFunction:
 
     def close_to(self, other, tol=1e-9):
         """Coefficientwise comparison of the reduced normal forms."""
-        other = _as_rational(other)
         scale = max(
             self.num.max_abs_coeff(), other.num.max_abs_coeff(),
             self.den.max_abs_coeff(), other.den.max_abs_coeff(), 1.0,
@@ -605,17 +563,6 @@ def _proportional(p, q, tol=1e-8):
     return None
 
 
-def _as_rational(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        # coprime: the denominator 1 has no root
-        return RationalFunction(x, Polynomial.one(), reduce=False)
-    if np.isscalar(x):
-        return RationalFunction.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
-
-
 def _has_parity(p, parity):
     """Whether p's coefficients of the other parity (0 even, 1 odd)
     vanish to SYMMETRY_TOL of its largest coefficient."""
@@ -656,7 +603,6 @@ def foster_data(R):
     R is odd iff, in its reduced form, den has the parity of its
     degree and num the other one.
     """
-    R = _as_rational(R)
     if R.is_zero:
         return None
     dn, dd = R.num.degree, R.den.degree
@@ -715,7 +661,6 @@ def is_inner(R):
     den(s)den(-s) holds iff num = +-den(-s), the sign taken from the
     leading coefficients.
     """
-    R = _as_rational(R)
     if R.is_zero:
         return False
     den = R.den.coeffs.tolist()
@@ -748,7 +693,6 @@ def spectral_factor(Phi):
     Phi is even iff num and den of its reduced form are both even.
     W and W(-s) share no root, so their product is not reduced.
     """
-    Phi = _as_rational(Phi)
     if Phi.is_zero:
         raise SpectralFactorError("zero spectrum cannot be factored")
     if not (_has_parity(Phi.num, 0) and _has_parity(Phi.den, 0)):

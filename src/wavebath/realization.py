@@ -24,7 +24,7 @@ ratfun.foster_data reads them: poles and residues, and no zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,25 +198,20 @@ class LosslessRealization:
     def dim(self):
         return self.ss.dim
 
-    def stored_energy(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return 0.5 * float(xi @ xi)
-
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Residuals of the lossless energy certificate plus minimality margins."""
+    """Residuals of the lossless energy certificate plus minimality margins.
+
+    The report carries the numbers and no verdict: a LosslessRealization
+    is certified when it is built, and synth checks the two residuals
+    against the same 1e-8.
+    """
 
     lyapunov_residual: float
     gain_residual: float
-    max_real_eig: float
     controllability_margin: float
     observability_margin: float
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", _certified(
-            self.lyapunov_residual, self.gain_residual, self.max_real_eig))
 
 
 def foster_to_rational(spec: FosterSpec) -> RationalFunction:
@@ -280,10 +275,8 @@ def verify_lossless_certificate(r: LosslessRealization) -> CertificateReport:
     an eigenvalue too.
     """
     lyap, gain = _certificate_residuals(r.ss)
-    eigs = np.linalg.eigvals(r.ss.A)
-    max_re = float(np.max(np.abs(eigs.real)))
-    margin = _pbh_margin(r.ss.A, r.ss.b, eigs)
-    return CertificateReport(lyap, gain, max_re, margin, margin)
+    margin = _pbh_margin(r.ss.A, r.ss.b, np.linalg.eigvals(r.ss.A))
+    return CertificateReport(lyap, gain, margin, margin)
 
 
 def _certificate_residuals(ss):
@@ -293,10 +286,6 @@ def _certificate_residuals(ss):
     gain = np.max(np.abs(b - c)) / max(np.max(np.abs(b)), np.max(np.abs(c)),
                                        1e-30)
     return float(lyap), float(gain)
-
-
-def _certified(lyap, gain, max_re):
-    return bool(lyap < 1e-8 and gain < 1e-8 and max_re < 1e-8)
 
 
 def _pbh_margin(A, v, eigs):
@@ -354,23 +343,6 @@ def foster_from_rational(Z: RationalFunction) -> FosterSpec:
             "poles may be ill-separated"
         )
     return spec
-
-
-def autonomous_flow(spec: FosterSpec, t: float) -> np.ndarray:
-    """Exact propagator exp(A t) of the realized load, block by block.
-
-    The k0 branch is constant; each tank block rotates at its own
-    frequency, so the flow assembles from 2x2 rotations with no
-    integration error beyond the trig evaluations.
-    """
-    n = spec.state_dim
-    U = np.eye(n)
-    i = 1 if spec.k0 > 0 else 0
-    for _, w in spec.tanks:
-        ct, st_ = np.cos(w * t), np.sin(w * t)
-        U[i: i + 2, i: i + 2] = [[ct, st_], [-st_, ct]]
-        i += 2
-    return U
 
 
 def random_foster(rng, max_tanks=3, require_k0=False, min_gap=0.3,

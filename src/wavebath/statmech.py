@@ -191,10 +191,6 @@ class SeriesStats:
     freqs: np.ndarray
     power: np.ndarray
 
-    def to_acov_csv(self, fh):
-        write_csv(fh, "lag,acov,band",
-                  (self.lags, self.acov, np.full(self.lags.size, self.band)))
-
     def to_spectrum_csv(self, fh):
         write_csv(fh, "freq,power", (self.freqs, self.power))
 

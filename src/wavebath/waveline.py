@@ -53,6 +53,16 @@ from .coupling import CoupledModelPair, Observable, close_loops
 from .realization import LosslessRealization
 
 
+# Largest line run, in entries 2 (steps + cells) + (steps + 1) n of
+# propagate's arrays: the incoming and outgoing tapes w and d, and the
+# states of a load of dimension n. line-sim, which also runs both reduced
+# models and writes the trace, peaks at 30-36 bytes per entry
+# (tracemalloc, load dimensions 1 and 9), so about 180 MB at the limit.
+# The README's line-sim (2600 cells, 2500 steps) and the line benchmark's
+# longest run (200 cells, 1e5 steps at dimension 5: 7e5 entries) pass.
+MAX_LINE_ENTRIES = 5_000_000
+
+
 class ReflectionWindowError(ValueError):
     """A truncation end would reach the observed site inside the run.
 
@@ -78,7 +88,8 @@ class LineConfig:
     Stepping is Courant-exact (dt = dx, wave speed 1). x_max must be
     an integer number of cells. In reflection-free mode t_max is
     limited to the window 2 x_max before truncation artifacts can
-    reach the load.
+    reach the load. A run past MAX_LINE_ENTRIES is refused before any
+    allocation.
     """
 
     dx: float
@@ -96,6 +107,16 @@ class LineConfig:
                 f"x_max and t_max must be finite, got {self.x_max}, {self.t_max}"
             )
         cells = self.x_max / self.dx
+        steps = self.t_max / self.dx
+        entries = 2.0 * (steps + cells) + (steps + 1.0) * self.load.dim
+        # written to refuse nan too, from -inf cells plus inf steps
+        if not entries <= MAX_LINE_ENTRIES:
+            raise ValueError(
+                f"dx = {self.dx} over x_max = {self.x_max} and t_max = "
+                f"{self.t_max} is a line of {cells:.4g} cells and "
+                f"{steps:.4g} steps, {entries:.4g} entries with a load of "
+                f"dimension {self.load.dim}; at most {MAX_LINE_ENTRIES} "
+                "are allowed")
         if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             raise ValueError("x_max must be an integer multiple of dx")
         if round(cells) < 2:
@@ -127,8 +148,10 @@ class WaveField:
     """Left- and right-moving wave profiles on the grid.
 
     a_prime[j] is the incoming profile at x_j (moves toward x = 0),
-    b_prime[j] the outgoing one. radiated accumulates energy that has
-    left through an open far end.
+    b_prime[j] the outgoing one; the port variables are v = a' + b' and
+    i = a' - b', and the line energy is dx sum(a'^2 + b'^2), the term
+    propagate's energy column starts from. radiated accumulates energy
+    that has left through an open far end.
     """
 
     a_prime: np.ndarray
@@ -141,18 +164,6 @@ class WaveField:
         self.b_prime = np.asarray(self.b_prime, dtype=float).copy()
         if self.a_prime.shape != self.b_prime.shape or self.a_prime.ndim != 1:
             raise ValueError("wave profiles must be equal-length 1-d arrays")
-
-    @property
-    def v(self):
-        return self.a_prime + self.b_prime
-
-    @property
-    def i(self):
-        return self.a_prime - self.b_prime
-
-    def energy(self):
-        """Line energy dx * sum(a'^2 + b'^2) = (dx/2) sum(v^2 + i^2)."""
-        return self.dx * (self.a_prime @ self.a_prime + self.b_prime @ self.b_prime)
 
 
 def init_waves(v0, i0, dx) -> WaveField:

@@ -13,7 +13,7 @@ import pytest
 
 import wavebath
 import wavebath.cli
-from wavebath import lattice, waveline
+from wavebath import lattice, statmech, waveline
 from wavebath.cli import main
 from wavebath.realization import FosterSpec
 
@@ -467,6 +467,31 @@ class TestUsageErrors:
                        "runs = 1000000000000 over a grid of 1521 samples "
                        "(t_max = 380.0, dt = 0.25) and 801 sites")
         assert not (tmp_path / "run" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, module, allocator, names", [
+        (["lattice-sim", "--M=1000000000"], lattice, "sample_invariant",
+         ["M = 1000000000", "2000000001 sites"]),
+        (["line-sim", "--foster=k0=1", "--dx=1e-9"], waveline, "init_waves",
+         ["dx = 1e-09", "x_max = 8.0", "t_max = 6.0"]),
+        (["mb-stats", "--n=1000000000000"], statmech, "sample_mb",
+         ["n = 1000000000000"]),
+        (["mb-stats", f"--n={wavebath.cli.MAX_SPEEDS + 1}"], statmech,
+         "sample_mb", [f"n = {wavebath.cli.MAX_SPEEDS + 1}"]),
+    ], ids=["chain-sites", "line-grid", "speed-samples",
+            "speed-samples-one-over-limit"])
+    def test_oversized_input_exits_two_before_allocation(
+            self, tmp_path, capsys, monkeypatch, argv, module, allocator,
+            names):
+        def refuse(*args):
+            raise AssertionError(f"{allocator} ran")
+
+        monkeypatch.setattr(module, allocator, refuse)
+        code, _, s = run(tmp_path, *argv)
+        assert code == 2
+        assert s is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        assert all(name in err for name in names), err
 
     def test_single_step_wave_spectrum_exits_two(self, tmp_path, capsys):
         # two samples of the incoming wave: their Hann window is all zeros

@@ -21,7 +21,6 @@ from wavebath.lattice import (
     SiteModelPair,
     autocov_oracle,
     chain_energy,
-    dirichlet_potential,
     evolve_state,
     integrate,
     isolated_site_series,
@@ -30,9 +29,20 @@ from wavebath.lattice import (
     reduced_models,
     sample_invariant,
 )
-from wavebath.lattice import (MAX_RUN_ENTRIES, MAX_SAMPLES, _CHUNK, _dst1,
-                              _ensemble_series, _j0_nodes)
+from wavebath.lattice import (MAX_RUN_ENTRIES, MAX_SAMPLES, MAX_SITES,
+                              _CHUNK, _dst1, _ensemble_series, _j0_nodes)
 from wavebath.ratfun import RationalFunction
+
+
+def dirichlet_potential(n_sites, c):
+    """Spring matrix V^2 of a clamped chain: tridiag(-c^2, 2c^2, -c^2)."""
+    V2 = np.zeros((n_sites, n_sites))
+    np.fill_diagonal(V2, 2.0 * c * c)
+    off = -c * c
+    idx = np.arange(n_sites - 1)
+    V2[idx, idx + 1] = off
+    V2[idx + 1, idx] = off
+    return V2
 
 
 def banded_potential(n, c):
@@ -104,6 +114,18 @@ class TestChainConfig:
                         guarded=False)
         assert cfg.n_steps + 1 == MAX_SAMPLES
 
+    # construction allocates nothing, so chains past the limit are built
+    # here only to be refused
+    @pytest.mark.parametrize("half_width", [10**9, MAX_SITES // 2 + 1],
+                             ids=["M-1e9", "one-over-limit"])
+    def test_chain_past_the_site_limit_refused_by_name(self, half_width):
+        with pytest.raises(ValueError, match="at most") as info:
+            small_cfg(half_width=half_width)
+        assert f"M = {half_width} " in str(info.value)
+
+    def test_chain_at_the_site_limit_accepted(self):
+        assert small_cfg(half_width=MAX_SITES // 2).n_sites == MAX_SITES
+
     def test_one_reflection_window_error(self):
         assert ReflectionWindowError is waveline.ReflectionWindowError
 
@@ -146,22 +168,9 @@ class TestFactorStencil:
         q = np.array([1.0, 4.0, 9.0])
         assert np.array_equal(s.apply(q), np.array([6.0, 10.0, -18.0]))
 
-    def test_adjoint_is_transpose(self):
-        s = FactorStencil(1.7)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(8)
-        R = s.matrix(8)
-        assert np.allclose(s.adjoint(x), R.T @ x, rtol=0, atol=1e-14)
-
-    def test_symbol_convolution(self):
-        # c(z - 1) times c(z^{-1} - 1) = -c^2 z^{-1} + 2c^2 - c^2 z
-        s = FactorStencil(1.0)
-        prod = np.convolve([-1.0, 1.0], [1.0, -1.0])
-        assert np.array_equal(prod, s.symbol_coeffs())
-
     def test_product_reproduces_interior_rows_exactly(self):
         s = FactorStencil(1.0)
-        R = s.matrix(7)
+        R = np.column_stack([s.apply(e) for e in np.eye(7)])  # R e_j
         P = R.T @ R
         V2 = dirichlet_potential(7, 1.0)
         assert np.array_equal(P[1:], V2[1:])

@@ -260,15 +260,12 @@ class TestAutocovariance:
     def test_csv_exports(self):
         rng = np.random.default_rng(8)
         stats = autocovariance(rng.standard_normal(200), 5, dt=0.5)
-        acov_buf, spec_buf = io.StringIO(), io.StringIO()
-        stats.to_acov_csv(acov_buf)
+        spec_buf = io.StringIO()
         stats.to_spectrum_csv(spec_buf)
-        acov_lines = acov_buf.getvalue().splitlines()
         spec_lines = spec_buf.getvalue().splitlines()
-        assert acov_lines[0] == "lag,acov,band"
-        assert len(acov_lines) == 7
         assert spec_lines[0] == "freq,power"
-        assert float(acov_lines[1].split(",")[1]) == stats.acov[0]
+        assert len(spec_lines) == stats.freqs.size + 1
+        assert float(spec_lines[2].split(",")[1]) == stats.power[1]
 
 
 class TestPeriodicityProbe:
