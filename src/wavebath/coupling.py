@@ -37,13 +37,14 @@ check of a synthesized load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .ratfun import (MATCH_TOL, SNAP_TOL, Polynomial, RationalFunction,
-                     _deflate_both, is_inner, is_lossless_pr,
+                     _deflate_both, _trim, is_inner, is_lossless_pr,
                      spectral_factor)
 from .realization import (
     ImproperImpedanceError,
@@ -150,16 +151,19 @@ class _TransferBasis:
 
     Row i < n of `rows` holds the coefficients (lowest degree first) of
     e_i adj(sI - gamma) g, row n those of 2 den, all times `sign`, so
-    x @ rows is sign (h adj(sI - gamma) g + 2 d den). `values` and
-    `slopes` hold every row's value and first derivative at the poles
-    (the roots of den).
+    x @ rows is sign (h adj(sI - gamma) g + 2 d den). `probe` is
+    [values | slopes]: column j < n holds every row's value at pole j
+    (a root of den), column n + j its first derivative there, so one
+    product x @ probe gives a numerator's value and slope at every
+    pole. `threshold` is MATCH_TOL (1 + |pole|), the scale of the shared
+    pole test of _port_transfer.
     """
 
     rows: np.ndarray
     den: Polynomial
     poles: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
+    probe: np.ndarray
+    threshold: np.ndarray
 
     @classmethod
     def build(cls, gamma, gain, den, poles, sign):
@@ -182,8 +186,8 @@ class _TransferBasis:
         reflectors = []
         for k in range(n - 1):  # zero column k of m below row k
             v = _reflector(m[k:, k])
-            m[k:] -= np.outer(v, v @ m[k:])
-            m[:, k + 1:] -= np.outer(m[:, k + 1:] @ v, v)
+            m[k:] -= v[:, None] * (v @ m[k:])
+            m[:, k + 1:] -= (m[:, k + 1:] @ v)[:, None] * v
             reflectors.append(v)
         beta, H = m[0, 0], m[:, 1:]
         x = np.zeros((n, n))
@@ -194,7 +198,7 @@ class _TransferBasis:
             x[k - 1] = acc / H[k, k - 1]
         for k in reversed(range(n - 1)):  # x <- Q x
             v = reflectors[k]
-            x[k:] -= np.outer(v, v @ x[k:])
+            x[k:] -= v[:, None] * (v @ x[k:])
         rows = np.zeros((n + 1, n + 1))
         rows[:n, :n] = (sign * beta) * x
         rows[n] = (2.0 * sign) * den.coeffs
@@ -203,17 +207,19 @@ class _TransferBasis:
         for c in rows.T[::-1]:  # Horner's rule with its derivative
             slopes = slopes * poles + values
             values = values * poles + c[:, None]
-        for arr in (rows, poles, values, slopes):
+        probe = np.hstack([values, slopes])
+        threshold = MATCH_TOL * (1.0 + np.abs(poles))
+        for arr in (rows, poles, probe, threshold):
             arr.setflags(write=False)
-        return cls(rows, den, poles, values, slopes)
+        return cls(rows, den, poles, probe, threshold)
 
 
 def _reflector(x):
     """v with (I - v v^T) x = -sign(x_0) |x| e_1 for a nonzero x; the
     sign makes forming v cancel nothing."""
     v = np.array(x, dtype=float)
-    v[0] += np.copysign(np.sqrt(v @ v), v[0])
-    return v * np.sqrt(2.0 / (v @ v))
+    v[0] += math.copysign(math.sqrt(v @ v), v[0])
+    return v * math.sqrt(2.0 / (v @ v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,20 +326,21 @@ def _port_transfer(basis, h, d):
     A pole is shared when the numerator vanishes there to first order,
     |num(r)| <= MATCH_TOL (1 + |r|) |num'(r)|: the Newton estimate of
     the distance to num's nearest root, on the scale root matching
-    uses. The shared poles are deflated from both, so no root of num is
-    computed. The adjugate part h @ rows[:n] is trimmed at 1e-13 of its
-    largest coefficient before 2 d den is added: its top coefficients
-    cancel to rounding when h g = 0, and the trim keeps num's true
-    degree without dropping a small feedthrough d.
+    uses. One product x @ basis.probe gives num and num' at every pole,
+    and basis.threshold holds MATCH_TOL (1 + |r|). The shared poles are
+    deflated from both, so no root of num is computed. The adjugate
+    part h @ rows[:n] is trimmed (_trim) at 1e-13 of its largest
+    coefficient before 2 d den is added: its top coefficients cancel to
+    rounding when h g = 0, and the trim keeps num's true degree without
+    dropping a small feedthrough d. num is the one Polynomial built.
     """
-    x = np.append(h, d)
-    adj = Polynomial(h @ basis.rows[:-1], rel_tol=1e-13).coeffs
+    n = h.size
+    at_poles = np.concatenate((h, [d])) @ basis.probe
+    adj, _ = _trim(h @ basis.rows[:-1], rel_tol=1e-13)
     num = d * basis.rows[-1]
     num[: adj.size] += adj
     num, den = Polynomial(num), basis.den
-    shared = (np.abs(x @ basis.values)
-              <= MATCH_TOL * (1.0 + np.abs(basis.poles))
-              * np.abs(x @ basis.slopes))
+    shared = np.abs(at_poles[:n]) <= basis.threshold * np.abs(at_poles[n:])
     if shared.any():
         num, den = _deflate_both(num, den, basis.poles[shared])
     # coprime: every root of den that num vanishes on is deflated

@@ -87,9 +87,9 @@ MAX_RUN_ENTRIES = 4_000_000
 
 # Longest chain, in sites 2M + 1. On a short grid a site costs about 600
 # bytes (the Gibbs draw, its sine transforms, integrate's mode weights);
-# on a long one _ensemble_series' trig tables add 24 (_CHUNK + 1) bytes.
-# lattice-sim with t_max = M - 1 peaks at 14 KB per site at M = 2000 and
-# 4000 (tracemalloc), so about 280 MB at the limit, M = 10000.
+# on a long one _ensemble_series' trig tables add 16 (_CHUNK + 1) bytes.
+# lattice-sim with t_max = M - 1 peaks at 9.6 KB per site at M = 2000 and
+# 4000 (tracemalloc), so about 190 MB at the limit, M = 10000.
 # Acceptance 07's and the README's chains (M = 2000 and 400) pass.
 MAX_SITES = 20_001
 
@@ -335,7 +335,8 @@ def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
     n_series = weight_cos.shape[1]
     half = min(_CHUNK, math.isqrt(n_samples * n_series), (n_samples - 1) // 2)
     phase = np.outer(np.arange(half + 1) * dt, omega)
-    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    cos_tab = np.cos(phase)
+    sin_tab = np.sin(phase, out=phase)  # two tables live, not three
     even, odd = np.empty((2, half + 1, n_series))
     out = np.empty((n_samples, n_series))
     for lo in range(0, n_samples, 2 * half + 1):

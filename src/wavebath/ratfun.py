@@ -37,6 +37,8 @@ ill-conditioned high-degree coefficient vectors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEGREE_CAP = 32
@@ -67,17 +69,25 @@ class SpectralFactorError(ValueError):
 
 
 def _trim(coeffs, rel_tol=0.0):
-    """Drop high-order coefficients at/below rel_tol * max|coeff|."""
+    """(c, scale): the coefficients as a fresh float array without the
+    high-order ones at/below rel_tol * scale, scale = max|coeff| (0.0
+    when nothing is kept). One list of magnitudes serves the finiteness
+    check, which covers the dropped coefficients too, the scale and the
+    trim point; at these lengths Python's builtins over a list beat
+    numpy's per-call cost."""
     c = np.array(coeffs, dtype=float, ndmin=1)
     if c.ndim != 1:
         raise ValueError("coefficient array must be one-dimensional")
-    if not np.isfinite(c).all():
+    mags = list(map(abs, c.tolist()))
+    if not all(map(math.isfinite, mags)):
         raise ValueError("polynomial coefficients must be finite")
-    cutoff = rel_tol * np.abs(c).max() if rel_tol and c.size else 0.0
-    last = c.size
-    while last > 0 and abs(c[last - 1]) <= cutoff:
+    scale = max(mags, default=0.0)
+    cutoff = rel_tol * scale
+    last = len(mags)
+    while last > 0 and mags[last - 1] <= cutoff:
         last -= 1
-    return c[:last]
+    # a kept coefficient exceeds the cutoff, so the largest one is kept
+    return c[:last], scale if last else 0.0
 
 
 class Polynomial:
@@ -88,12 +98,16 @@ class Polynomial:
     Polynomial([a]); no scalar is coerced), evaluation (Horner),
     differentiation, the reflection p(s) -> p(-s), and root extraction
     with conjugate symmetrization.
+
+    The largest coefficient magnitude, which _trim finds anyway, is
+    kept: max_abs_coeff() reads it, and the zero polynomial is the one
+    whose scale is 0.
     """
 
-    __slots__ = ("coeffs", "_half_planes")
+    __slots__ = ("coeffs", "_scale", "_half_planes")
 
     def __init__(self, coeffs, rel_tol=0.0):
-        c = _trim(coeffs, rel_tol)
+        c, scale = _trim(coeffs, rel_tol)
         if c.size == 0:
             c = np.zeros(1)
         if c.size - 1 > DEGREE_CAP:
@@ -101,6 +115,7 @@ class Polynomial:
                 f"degree {c.size - 1} exceeds cap {DEGREE_CAP}"
             )
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_scale", scale)
         c.setflags(write=False)
 
     def __setattr__(self, name, value):
@@ -143,7 +158,7 @@ class Polynomial:
 
     @property
     def is_zero(self):
-        return self.coeffs.size == 1 and self.coeffs[0] == 0.0
+        return self._scale == 0.0
 
     @property
     def leading(self):
@@ -180,11 +195,16 @@ class Polynomial:
     # -- analysis ----------------------------------------------------
 
     def __call__(self, s):
+        """p(s) by Horner's rule, for a number or an array s; a number
+        gives a numpy scalar. s goes in as an array even when it is a
+        number: numpy's array loop for the complex product may fuse its
+        multiply-add (FMA) where scalar arithmetic does not, and a number
+        must give the bits an array entry gets."""
         s = np.asarray(s)
-        out = np.zeros_like(s, dtype=complex if np.iscomplexobj(s) else float)
-        for c in self.coeffs[::-1]:
+        out = 0.0
+        for c in reversed(self.coeffs.tolist()):
             out = out * s + c
-        return out if out.ndim else out[()]
+        return out
 
     def derivative(self):
         if self.coeffs.size == 1:
@@ -218,7 +238,7 @@ class Polynomial:
         return out[np.lexsort((out.imag, out.real))]  # stable sort
 
     def max_abs_coeff(self):
-        return float(np.max(np.abs(self.coeffs)))
+        return self._scale
 
     @property
     def half_planes(self):
@@ -447,19 +467,19 @@ class RationalFunction:
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, s):
-        """Evaluate R(s); raises PoleEvaluationError on top of a pole.
+        """Evaluate R(s) for a number or an array s (a number gives a
+        numpy scalar); raises PoleEvaluationError on top of a pole.
 
         The pole guard is relative: |den(s)| is compared against
         sum_k |c_k| |s|^k, the scale of the rounding error Horner's rule
         can make in it, so the check behaves the same for impedances
         normalized differently and does not grow faster than den itself.
         """
-        s_arr = np.asarray(s)
-        dv = self.den(s_arr)
-        scale = Polynomial(np.abs(self.den.coeffs))(np.abs(s_arr))
+        dv = self.den(s)
+        scale = Polynomial(np.abs(self.den.coeffs))(np.abs(s))
         if np.any(np.abs(dv) <= 1e-12 * scale):
             raise PoleEvaluationError(f"evaluation at/near a pole (s={s!r})")
-        return self.num(s_arr) / dv
+        return self.num(s) / dv
 
     def at_infinity(self):
         """Limit of R(s) as |s| -> infinity (None when improper)."""

@@ -129,6 +129,37 @@ def blind_row(pair, seed=0):
     return r - Q @ (Q.T @ r)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def port_transfer_two_products(basis, h, d):
+    """Reference for _port_transfer: the rows' values and slopes at the
+    poles by Horner's rule, then one product with each, the pole test's
+    threshold formed per call and the adjugate part trimmed through a
+    Polynomial of its own. Returns the transfer and the shared-pole
+    mask."""
+    n = h.size
+    values = np.zeros((n + 1, n), dtype=complex)
+    slopes = np.zeros_like(values)
+    for c in basis.rows.T[::-1]:
+        slopes = slopes * basis.poles + values
+        values = values * basis.poles + c[:, None]
+    x = np.append(h, d)
+    adj = Polynomial(h @ basis.rows[:-1], rel_tol=1e-13).coeffs
+    num = d * basis.rows[-1]
+    num[: adj.size] += adj
+    num, den = Polynomial(num), basis.den
+    shared = (np.abs(x @ values)
+              <= MATCH_TOL * (1.0 + np.abs(basis.poles))
+              * np.abs(x @ slopes))
+    if shared.any():
+        num, den = _deflate_both(num, den, basis.poles[shared])
+    return RationalFunction(num, den, reduce=False), shared
+
+
 def determinant_lemma_transfers(pair, obs):
     """W and Wbar of one observable by the per-observable route: the
     numerator h adj(sI - Gamma) g = det(sI - Gamma + g h^T) - D(s) from
@@ -628,6 +659,47 @@ class TestObservableTransfers:
                 scale = max(b.num.max_abs_coeff(), b.den.max_abs_coeff())
                 for p, q in ((a.num, b.num), (a.den, b.den)):
                     assert np.max(np.abs(p.coeffs - q.coeffs)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", range(1, 14))
+    def test_port_transfer_matches_the_two_product_route(self, dim,
+                                                         monkeypatch):
+        # the stacked probe and its kept threshold against the route with
+        # separate value and slope products: the same coefficient bits and
+        # the same shared poles, on random, blind and d = 0 observables
+        deflated = []
+        deflate = wavebath.coupling._deflate_both
+        monkeypatch.setattr(
+            wavebath.coupling, "_deflate_both",
+            lambda num, den, roots: deflated.append(roots)
+            or deflate(num, den, roots))
+        rng = np.random.default_rng(100 + dim)
+        seen_shared = False
+        for seed in range(3):
+            spec = ceiling_specs(50 * dim + seed, dim // 2, count=1)[0]
+            load = foster_realize(
+                spec if dim % 2 else FosterSpec(0.0, spec.tanks))
+            pair = close_loops(load)
+            rows = [(rng.normal(size=dim), float(rng.normal())),
+                    (rng.normal(size=dim), 0.0)]
+            if dim > 2:
+                rows += [(blind_row(pair, seed), 0.0),
+                         (blind_row(pair, seed + 7), float(rng.normal()))]
+            for h, d in rows:
+                obs = Observable.build(load, h, d)
+                for basis, row in zip(pair.transfer_bases,
+                                      (obs.h, obs.h_bar)):
+                    want, shared = port_transfer_two_products(basis, row, d)
+                    deflated.clear()
+                    got = wavebath.coupling._port_transfer(basis, row, d)
+                    assert same_bits(got.num.coeffs, want.num.coeffs)
+                    assert same_bits(got.den.coeffs, want.den.coeffs)
+                    if shared.any():
+                        seen_shared = True
+                        assert len(deflated) == 1
+                        assert same_bits(deflated[0], basis.poles[shared])
+                    else:
+                        assert deflated == []
+        assert seen_shared == (dim > 2)
 
     def test_quotient_runs_no_root_matching(self, monkeypatch):
         loads = []

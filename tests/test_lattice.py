@@ -581,6 +581,27 @@ class TestEnsembleSeries:
         weight_norm = np.abs(Wc).sum(axis=0) + np.abs(Ws).sum(axis=0)
         assert np.max(np.abs(got - direct) / weight_norm) <= 1e-11
 
+    def test_two_trig_tables_live(self):
+        # h = _CHUNK at n = 4001: the sine table is taken in place over
+        # the phase table, so two (h + 1) x n tables are live at the peak;
+        # a third live table would put it above 3 tables
+        n, n_series, n_samples = 4001, 16, 16385
+        omega = 2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1)))
+        Wc, Ws = np.random.default_rng(4).standard_normal((2, n, n_series))
+        table = (_CHUNK + 1) * n * 8
+        tracemalloc.start()
+        try:
+            out = _ensemble_series(0.05, n_samples, omega, Wc, Ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * table < peak < 2.5 * table
+        picks = [0, 513, 1024, n_samples - 1]
+        phase = np.outer(0.05 * np.array(picks), omega)
+        direct = np.cos(phase) @ Wc + np.sin(phase) @ Ws
+        scale = np.abs(Wc).sum(axis=0) + np.abs(Ws).sum(axis=0)
+        assert np.max(np.abs(out[picks] - direct) / scale) <= 1e-11
+
 
 class TestParticleTraceCsv:
     def test_layout(self):

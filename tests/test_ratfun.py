@@ -797,6 +797,115 @@ class TestClosedFormsMatchProducts:
             assert not even_by_factor(odd_part)
 
 
+# -- loop references for the kept scale and the Horner loop ---------------
+
+
+def trim_loop(coeffs, rel_tol=0.0):
+    """Reference: the two-reduction trim (finiteness, then the cutoff)."""
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    if c.ndim != 1:
+        raise ValueError("coefficient array must be one-dimensional")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
+    cutoff = rel_tol * np.abs(c).max() if rel_tol and c.size else 0.0
+    last = c.size
+    while last > 0 and abs(c[last - 1]) <= cutoff:
+        last -= 1
+    return c[:last]
+
+
+def horner_loop(coeffs, s):
+    """Reference: Horner's rule on an array of s's shape."""
+    s = np.asarray(s)
+    out = np.zeros_like(s, dtype=complex if np.iscomplexobj(s) else float)
+    for c in coeffs[::-1]:
+        out = out * s + c
+    return out if out.ndim else out[()]
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_rel_tols = st.sampled_from([0.0, 1e-13, 1e-12, 1e-8, 0.5])
+
+
+@st.composite
+def coefficient_vectors(draw):
+    """Random vectors, with trailing zeros of both signs, a tail under
+    rel_tol of the largest coefficient, or all zeros."""
+    rel_tol = draw(_rel_tols)
+    head = draw(st.lists(_any_float, max_size=DEGREE_CAP + 3))
+    kind = draw(st.sampled_from(["plain", "zeros", "tail", "all_zeros"]))
+    if kind == "zeros":
+        head += draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                              max_size=5))
+    elif kind == "tail":
+        scale = max(map(abs, head), default=1.0) or 1.0
+        head += [u * rel_tol * scale for u in draw(st.lists(
+            st.floats(min_value=-1.0, max_value=1.0), min_size=1,
+            max_size=5))]
+    elif kind == "all_zeros":
+        head = [0.0] * len(head)
+    return head, rel_tol
+
+
+class TestKeptScale:
+    @given(coefficient_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_reduction_trim(self, case):
+        coeffs, rel_tol = case
+        want = trim_loop(coeffs, rel_tol)
+        if want.size == 0:
+            want = np.zeros(1)
+        if want.size - 1 > DEGREE_CAP:
+            with pytest.raises(DegreeCapError):
+                Polynomial(coeffs, rel_tol=rel_tol)
+            return
+        p = Polynomial(coeffs, rel_tol=rel_tol)
+        assert same_bits(p.coeffs, want)
+        scale = p.max_abs_coeff()
+        assert type(scale) is float
+        assert scale == float(np.max(np.abs(p.coeffs)))
+        assert p.is_zero == (want.size == 1 and want[0] == 0.0)
+
+    @given(coefficient_vectors(), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.integers(min_value=0))
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_anywhere_is_refused(self, case, bad, where):
+        # also inside a tail that the trim would drop
+        coeffs, rel_tol = case
+        coeffs.insert(where % (len(coeffs) + 1), bad)
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial(coeffs, rel_tol=rel_tol)
+
+    def test_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Polynomial(np.ones((2, 2)))
+
+
+_points = st.floats(min_value=-50.0, max_value=50.0)
+
+
+class TestHornerLoop:
+    @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1,
+                    max_size=15), _points, _points)
+    @settings(max_examples=200, deadline=None)
+    def test_bits_and_type_match_the_array_loop(self, coeffs, re, im):
+        p = Polynomial(coeffs)
+        z = complex(re, im)
+        for s in (re, z, np.float64(re), np.complex128(z), np.asarray(re),
+                  np.asarray(z), np.array([re, im, re * im]),
+                  np.array([z, z * z, 1j * im]), np.array([], dtype=float)):
+            got, want = p(s), horner_loop(p.coeffs, s)
+            assert type(got) is type(want)
+            assert same_bits(got, want)
+
+    def test_scalar_types(self):
+        p = Polynomial([1.0, 0.0, 2.0])
+        assert type(p(3.0)) is np.float64
+        assert type(p(2)) is np.float64
+        assert type(p(1j)) is np.complex128
+        assert type(Polynomial.one()(np.zeros(3))) is np.ndarray
+
+
 _nice_coeff = st.one_of(
     st.just(0.0),
     st.floats(min_value=1e-3, max_value=5.0),
