@@ -60,6 +60,7 @@ in t with one frequency per node, so the same trig kernel evaluates it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -537,6 +538,25 @@ def autocov_oracle(c, beta, dt, n_lags):
     return beta * out
 
 
+def _release_free_heap():
+    """Hand the free pages of the C heap back to the OS (glibc only).
+
+    glibc keeps a free heap top smaller than twice its dynamic mmap
+    threshold, and free chunks below a live one, resident. After a
+    call that frees tens of MB of mid-sized arrays, how much of that
+    stays resident then hangs on where the allocator happened to put the
+    few small arrays that survive it, which varies from process to
+    process with address and hash randomization. malloc_trim gives it
+    all back, so the resident size that follows is the same every run.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):     # not glibc
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim(0)
+
+
 def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     """Ensemble- and time-averaged E[p0(t) p0(0)] with its exact oracle.
 
@@ -584,6 +604,10 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     lags = t[: max_lag + 1]
     oracle = autocov_oracle(cfg.c, cfg.beta, cfg.dt, max_lag + 1)
     drift = np.var(q0_runs - q0_runs[0], axis=1)
+    # the weights, series and trig tables (about 50 MB at acceptance 07's
+    # size) are gone; only the report's short arrays survive
+    del pc, ps, qc, qs, p0_runs, q0_runs
+    _release_free_heap()
     return AutocorrReport(lags, gamma_hat, oracle, drift)
 
 

@@ -510,6 +510,22 @@ class TestMomentumAutocorr:
                            for k in range(rep.lags.size)])
         assert np.max(np.abs(rep.empirical - direct)) < 1e-12
 
+    def test_heap_release_leaves_the_report_alone(self, monkeypatch):
+        # glibc or not, handing the freed heap back changes no result
+        cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
+                          t_max=15.0, seed=3)
+        trimmed = momentum_autocorr(cfg, 3)
+
+        def no_c_library(name):
+            raise OSError("no C library here")
+
+        monkeypatch.setattr(lattice.ctypes, "CDLL", no_c_library)
+        assert lattice._release_free_heap() is None
+        untrimmed = momentum_autocorr(cfg, 3)
+        for a, b in zip(trimmed.__dict__.values(),
+                        untrimmed.__dict__.values()):
+            np.testing.assert_array_equal(a, b)
+
     # the second config's 1201 samples cross several blocks of the series
     # kernel and end on a partial one
     @pytest.mark.parametrize("cfg", [
