@@ -15,9 +15,10 @@ Subpackage map:
 * statmech    -- Maxwell-Boltzmann statistics, series estimators,
                  periodicity probe
 * cli         -- command-line front end over all of the above
+
+Importing the package loads none of them, and re-exports nothing:
+import the module you use (`from wavebath.ratfun import Polynomial`),
+so that a command pays only for what it runs.
 """
 
-from .ratfun import Polynomial, RationalFunction
-
-__all__ = ["Polynomial", "RationalFunction"]
 __version__ = "0.1.0"

@@ -18,32 +18,20 @@ exits 2 with one stderr line and no `summary.json`; any other
 exception prints its traceback and a last line `internal error: ...`,
 and exits 3. An experiment removes the `summary.json` of an earlier
 run in its output directory before it starts, so no verdict outlives
-a run that exits 2 or 3.
+a run that exits 2 or 3. `summary.json` is strict JSON: a non-finite
+number in it is the string "nan", "inf" or "-inf".
+
+The module top imports the standard library only; each command imports
+the library modules it runs, so `report` loads neither numpy nor any
+of them. `configparser` and `traceback` wait for a --config file and an
+internal error.
 """
 
-from __future__ import annotations
-
 import argparse
-import configparser
-import dataclasses
 import json
 import math
 import sys
-import traceback
 from pathlib import Path
-
-import numpy as np
-
-from . import coupling, lattice, statmech, waveline
-from .ratfun import (DEGREE_CAP, Polynomial, PoleEvaluationError,
-                     RationalFunction)
-from .realization import (
-    FosterSpec,
-    foster_from_realization,
-    foster_realize,
-    foster_to_rational,
-    verify_lossless_certificate,
-)
 
 
 # Largest mb-stats sample. The command peaks at 64-74 bytes per speed
@@ -141,6 +129,8 @@ def _build_parser():
 
 
 def _load_config_section(command, path):
+    import configparser
+
     ini = configparser.ConfigParser()
     ini.optionxform = str    # parameter names are case sensitive (M, kT)
     try:
@@ -188,7 +178,7 @@ def resolve_params(args):
 # ---------------------------------------------------------------------
 
 
-def _poly_text(p: Polynomial, var="s"):
+def _poly_text(p, var="s"):
     if p.is_zero:
         return "0"
     parts = []
@@ -206,7 +196,7 @@ def _poly_text(p: Polynomial, var="s"):
     return "".join(parts)
 
 
-def _rat_text(r: RationalFunction):
+def _rat_text(r):
     num, den = _poly_text(r.num), _poly_text(r.den)
     if "+" in num[1:] or "-" in num[1:]:
         num = f"({num})"
@@ -220,16 +210,17 @@ def _check(value, tol):
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    """Plain JSON values; a non-finite float becomes "nan", "inf" or
+    "-inf", which strict JSON can hold."""
+    np = sys.modules.get("numpy")    # unloaded: obj holds no numpy value
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, int):      # bool too
+        return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -238,6 +229,8 @@ def _jsonable(obj):
 
 
 def _load_from(params):
+    from .realization import FosterSpec, foster_realize
+
     spec = FosterSpec.from_text(params["foster"])
     return foster_realize(spec), spec
 
@@ -248,11 +241,15 @@ def _load_from(params):
 
 
 def _run_synth(params, out_dir):
+    from . import realization
+    from .ratfun import DEGREE_CAP
+
     load, spec = _load_from(params)
-    report = verify_lossless_certificate(load)
-    back = foster_from_realization(load)
+    report = realization.verify_lossless_certificate(load)
+    back = realization.foster_from_realization(load)
     # printed output only: past the cap the impedance has no coefficients
-    Z = foster_to_rational(back) if back.state_dim <= DEGREE_CAP else None
+    Z = (realization.foster_to_rational(back)
+         if back.state_dim <= DEGREE_CAP else None)
     checks = {
         "certificate_lyapunov": _check(report.lyapunov_residual, 1e-8),
         "certificate_gain": _check(report.gain_residual, 1e-8),
@@ -280,6 +277,8 @@ def _foster_distance(a, b):
 
 
 def _run_couple(params, out_dir):
+    from . import coupling
+
     load, spec = _load_from(params)
     pair = coupling.close_loops(load)
     info = coupling.coupling_report(pair)
@@ -308,6 +307,10 @@ def _parse_window(text):
 
 
 def _run_wave_sim(params, out_dir, convention):
+    import numpy as np
+
+    from . import waveline
+
     load, spec = _load_from(params)
     cfg = waveline.LineConfig(
         dx=params["dx"], x_max=params["x_max"], t_max=params["t_max"],
@@ -365,6 +368,8 @@ def _run_wave_sim(params, out_dir, convention):
 
 def _chain_config(params, **options):
     """The chain of lattice-sim and autocorr; ChainConfig checks its grid."""
+    from . import lattice
+
     return lattice.ChainConfig(
         half_width=params["M"], c=params["c"], beta=params["beta"],
         dt=params["dt"], t_max=params["t_max"], seed=params["seed"],
@@ -373,6 +378,10 @@ def _chain_config(params, **options):
 
 
 def _run_lattice_sim(params, out_dir):
+    import dataclasses
+
+    from . import lattice
+
     cfg = _chain_config(params, guarded=params["guarded"])
     # built before any array: its grid has twice the samples
     try:
@@ -410,6 +419,10 @@ def _run_lattice_sim(params, out_dir):
 
 
 def _run_autocorr(params, out_dir):
+    import numpy as np
+
+    from . import lattice, statmech
+
     cfg = _chain_config(params)
     if cfg.beta == 0.0:
         raise ConfigError("autocorr needs beta > 0: its checks are "
@@ -443,6 +456,10 @@ def _run_autocorr(params, out_dir):
 
 
 def _run_mb_stats(params, out_dir):
+    import numpy as np
+
+    from . import statmech
+
     mb = statmech.MBParams(m=params["m"], kT=params["kT"], k=params["k"])
     n = params["n"]
     if not 10 <= n <= MAX_SPEEDS:
@@ -484,6 +501,11 @@ def _run_mb_stats(params, out_dir):
 
 
 def _run_invert(params, out_dir):
+    import numpy as np
+
+    from . import coupling
+    from .ratfun import PoleEvaluationError, RationalFunction
+
     try:
         Phi = RationalFunction.from_text(params["phi"])
     except ZeroDivisionError as exc:   # a zero denominator
@@ -522,6 +544,8 @@ def _run_invert(params, out_dir):
 
 
 def _coeff_distance(a, b):
+    import numpy as np
+
     scale = max(a.num.max_abs_coeff(), a.den.max_abs_coeff(),
                 b.num.max_abs_coeff(), b.den.max_abs_coeff(), 1e-30)
     if a.num.coeffs.size != b.num.coeffs.size or \
@@ -608,7 +632,7 @@ def _run_experiment(args):
         "ok": ok,
     }
     (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if not ok:
         failed = [name for name, c in checks.items() if not c["pass"]]
         print(f"{args.command}: failed checks: {', '.join(failed)}",
@@ -631,6 +655,8 @@ def main(argv=None):
         print(f"{args.command}: {_one_line(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         print(f"{args.command}: internal error: {type(exc).__name__}: "
               f"{_one_line(exc)}", file=sys.stderr)

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._csv import write_csv
+from ._errors import ReflectionWindowError
 from .coupling import CoupledModelPair, Observable, close_loops
 from .realization import LosslessRealization
 
@@ -61,16 +62,6 @@ from .realization import LosslessRealization
 # The README's line-sim (2600 cells, 2500 steps) and the line benchmark's
 # longest run (200 cells, 1e5 steps at dimension 5: 7e5 entries) pass.
 MAX_LINE_ENTRIES = 5_000_000
-
-
-class ReflectionWindowError(ValueError):
-    """A truncation end would reach the observed site inside the run.
-
-    Raised by both truncation guards: a far-end reflection re-entering
-    a reflection-free line, and a chain horizon t_max >= M/c that lets
-    the clamped ends contaminate the center site. It refuses the run's
-    length, an input, so it is a ValueError like every other refusal.
-    """
 
 
 class ContaminatedWindowError(ValueError):

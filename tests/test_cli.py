@@ -13,7 +13,7 @@ import pytest
 
 import wavebath
 import wavebath.cli
-from wavebath import lattice, statmech, waveline
+from wavebath import lattice, realization, statmech, waveline
 from wavebath.cli import main
 from wavebath.realization import FosterSpec
 
@@ -110,18 +110,19 @@ class TestGoldenOutputs:
             assert None not in printed
 
     def test_synth_round_trip_counts_tanks(self, tmp_path, monkeypatch):
-        extract = wavebath.cli.foster_from_realization
+        extract = realization.foster_from_realization
 
         def drop_last_tank(load):
             back = extract(load)
             return FosterSpec(back.k0, back.tanks[:-1])
 
-        monkeypatch.setattr(wavebath.cli, "foster_from_realization",
+        monkeypatch.setattr(realization, "foster_from_realization",
                             drop_last_tank)
         code, _, s = run(tmp_path, "synth", "--foster",
                          "k0 = 0.5; tank = 1,2; tank = 1,3")
         assert code == 1
-        assert s["checks"]["foster_round_trip"]["value"] == float("inf")
+        # strict JSON: a non-finite number is written as a string
+        assert s["checks"]["foster_round_trip"]["value"] == "inf"
 
     def test_invert_infeasible_density_names_stage(self, tmp_path):
         # spectrum with a sign change on the axis cannot be factored
@@ -587,7 +588,21 @@ class TestUsageErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    # the eight README command lines
+    # the eight README command lines, each in a fresh process that loads
+    # only the wavebath modules (besides cli) that it runs
+    COMMAND_MODULES = {
+        "couple": ["coupling", "ratfun", "realization"],
+        "invert": ["coupling", "ratfun", "realization"],
+        "lattice-sim": ["_csv", "_errors", "lattice", "ratfun", "statmech"],
+        "line-sim": ["_csv", "_errors", "coupling", "ratfun", "realization",
+                     "waveline"],
+        "string-sim": ["_csv", "_errors", "coupling", "ratfun",
+                       "realization", "waveline"],
+        "autocorr": ["_csv", "_errors", "lattice", "ratfun", "statmech"],
+        "mb-stats": ["_csv", "statmech"],
+        "report": [],
+    }
+
     @pytest.mark.parametrize("argv", [
         ["couple", "--foster", "k0=1"],
         ["invert", "--phi", "1;1 0 -1"],
@@ -607,10 +622,15 @@ class TestUsageErrors:
         argv = [*argv, "--out", str(tmp_path / "run")]
         proc = python(["-c", "import sys; from wavebath.cli import main; "
                        f"code = main({argv!r}); print(code, sorted("
-                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                       "), sorted(m for m in sys.modules if m.startswith("
+                       "'wavebath.') and m != 'wavebath.cli'), "
+                       "'numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
-        # report prints its table first
-        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        # report prints its table first, and loads no numpy
+        last = proc.stdout.strip().splitlines()[-1]
+        loaded = ["wavebath." + m for m in self.COMMAND_MODULES[argv[0]]]
+        assert last == f"0 [] {loaded} {argv[0] != 'report'}"
 
     def test_autocorr_loads_no_scipy_subpackage(self, tmp_path):
         # the J0 oracle is a midpoint rule, not scipy.special.j0

@@ -1,9 +1,10 @@
 """The exit-code contract of the command line, as a property.
 
 For any argument values, every subcommand run through `main` exits 0,
-1 or 2; it writes a parseable `summary.json` exactly when it exits 0
-or 1; and it exits 1 exactly when some check in that summary is false.
-Exit 3 (an internal error) fails the property with its traceback.
+1 or 2; it writes a `summary.json` that parses as strict JSON exactly
+when it exits 0 or 1; and it exits 1 exactly when some check in that
+summary is false. Exit 3 (an internal error) fails the property with
+its traceback.
 
 Every size is bounded so that no example allocates more than a few
 MB: chains of half-width M <= 30 with at most 3 runs, at most 500
@@ -164,8 +165,14 @@ def run(argv, config=None):
             except SystemExit as exc:     # argparse refusals
                 code = exc.code
         path = out / "summary.json"
-        summary = json.loads(path.read_text()) if path.exists() else None
+        summary = (json.loads(path.read_text(), parse_constant=_not_json)
+                   if path.exists() else None)
     return code, err.getvalue(), summary
+
+
+def _not_json(name):
+    """Refuse NaN, Infinity and -Infinity, which strict JSON has not."""
+    raise ValueError(f"summary.json holds {name}")
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True,

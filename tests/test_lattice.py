@@ -264,6 +264,12 @@ class TestSineTransform:
         assert np.max(np.abs(_dst1(x) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 801, 4001])
+    def test_stacked_rows_bitwise_as_one_by_one(self, n):
+        x = np.random.default_rng(n).standard_normal((2, n))   # q and p
+        rows = np.stack([_dst1(row) for row in x])
+        assert np.array_equal(_dst1(x), rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 801, 4001])
     def test_is_its_own_inverse(self, n):
         x = np.random.default_rng(n).standard_normal(n)
         assert np.max(np.abs(_dst1(_dst1(x)) - x)) <= 1e-14 * np.max(np.abs(x))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavebath._csv import BLOCK_ROWS, write_csv
 from wavebath.coupling import Observable, close_loops
 from wavebath.realization import FosterSpec, foster_realize, random_foster
 from wavebath.waveline import (
@@ -536,6 +537,18 @@ class TestTraceExport:
         expected = "".join(",".join("%.17g" % x for x in row) + "\n"
                            for row in rows)
         assert buf.getvalue() == lines[0] + "\n" + expected
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
+    def test_block_writer_matches_row_writer(self, rows):
+        table = np.random.default_rng(rows).standard_normal((rows, 5))
+        specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.2e-308, 1e308]
+        table.ravel()[:len(specials)] = specials[:table.size]
+        columns = (table[:, 0], table[:, 1:])
+        buf = io.StringIO()
+        write_csv(buf, "a,b,c,d,e", columns)
+        expected = "".join(",".join(["%.17g"] * 5) % tuple(row) + "\n"
+                           for row in table)
+        assert buf.getvalue() == "a,b,c,d,e\n" + expected
 
 
 @settings(max_examples=20, deadline=None)
