@@ -18,8 +18,8 @@ exits 2 with one stderr line and no `summary.json`; any other
 exception prints its traceback and a last line `internal error: ...`,
 and exits 3. An experiment removes the `summary.json` of an earlier
 run in its output directory before it starts, so no verdict outlives
-a run that exits 2 or 3. `summary.json` is strict JSON: a non-finite
-number in it is the string "nan", "inf" or "-inf".
+a run that exits 2 or 3. `summary.json` and `report.json` are strict
+JSON: a non-finite number in them is the string "nan", "inf" or "-inf".
 
 The module top imports the standard library only; each command imports
 the library modules it runs, so `report` loads neither numpy nor any
@@ -104,7 +104,11 @@ _PARAMS = {command: {**table, "seed": (int, 0, "rng seed")}
            for command, table in _TABLES.items()}
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The wavebath parser, every subcommand listed. Only `command`'s
+    subparser gets its arguments, or every one's when command is None:
+    each add_argument builds a help formatter, and a process runs one
+    command."""
     parser = argparse.ArgumentParser(
         prog="wavebath",
         description="deterministic experiments on loads, lines and chains",
@@ -112,6 +116,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, table in _PARAMS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
+        if command not in (None, name):
+            continue
         for key, (typ, default, helptext) in table.items():
             flag = "--" + key.replace("_", "-")
             kind = ({"action": argparse.BooleanOptionalAction}
@@ -123,6 +129,8 @@ def _build_parser():
         p.add_argument("--id", type=str, default=None,
                        help="criterion id recorded in the summary")
     rep = sub.add_parser("report", help="merge run summaries")
+    if command not in (None, "report"):
+        return parser
     rep.add_argument("run_dirs", nargs="*", help="directories with summary.json")
     rep.add_argument("--out", type=str, default=None, help="output directory")
     return parser
@@ -605,8 +613,10 @@ def _run_report(args):
         "ok": bool(not missing and all(s.get("ok") for s in rows)),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a summary.json of an earlier version may hold a bare NaN
     (out_dir / "report.json").write_text(
-        json.dumps(table, indent=2, sort_keys=True) + "\n")
+        json.dumps(_jsonable(table), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n")
     for s in table["runs"]:
         status = "pass" if s["ok"] else "FAIL"
         print(f"{s['id'] or s['command']:24s} {status}")
@@ -646,8 +656,11 @@ def _one_line(exc):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # no top-level option takes a value: the first other word is the command
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = _build_parser(command).parse_args(argv)
     run = _run_report if args.command == "report" else _run_experiment
     try:
         return run(args)

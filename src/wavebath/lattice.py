@@ -38,19 +38,21 @@ re-deriving them numerically:
   * the orthonormal DST-I is one real FFT of the odd extension;
   * every series sum_k [a_k cos(omega_k t) + b_k sin(omega_k t)] on the
     uniform time grid (center-site traces, the ensemble, the isolated
-    chain and the J0 oracle) goes through _ensemble_series, which
-    reuses one half-block of trig tables: each block of time samples
-    rotates the weights by the phase of its middle sample (angle
-    addition) instead of evaluating fresh trig, and serves the samples
-    on both sides of the middle from the same table rows, cos being
-    even and sin odd;
+    chain and the J0 oracle) goes through _trig_kernel, which reuses
+    one half-block of trig tables: each block of time samples rotates
+    the weights by the phase of its middle sample (angle addition)
+    instead of evaluating fresh trig, and serves the samples on both
+    sides of the middle from the same table rows, cos being even and
+    sin odd;
   * the center row of the sine basis, proportional to sin(pi k / 2),
     vanishes on every even mode, so p0 and q0 alone need only the odd
     half of the spectrum (the neighbours q_{-1}, q_{+1} need all of it).
 
 Ensemble runs are pure functions of (config, run index): run r draws
 from default_rng([seed, r]) and results are reduced in run order, so
-reports are reproducible bit for bit.
+reports are reproducible bit for bit. The ensemble is evaluated in
+blocks of _RUN_BLOCK runs, so its memory is one block's and the trig
+tables', plus the q0 series it keeps, whatever the run count.
 
 Everything here runs on numpy alone. The autocovariance oracle's J0 is
 Bessel's integral under a midpoint rule sized from its largest
@@ -68,10 +70,10 @@ import numpy as np
 
 from ._csv import write_csv
 from ._errors import ReflectionWindowError
-from .ratfun import RationalFunction, is_inner
-from .statmech import _fft_autocov
 
 _CHUNK = 512  # cap on the half-width h of a 2h + 1 sample trig-GEMM block
+_STACK = 3 << 17  # entries (3 MB) of one trig-GEMM's weights and products
+_RUN_BLOCK = 16  # runs that momentum_autocorr draws and evaluates together
 
 # Longest chain grid. integrate peaks at 80 bytes per sample (tracemalloc)
 # and keeps 40: 160 MB at the limit. lattice-sim's half step stops its own
@@ -79,18 +81,27 @@ _CHUNK = 512  # cap on the half-width h of a 2h + 1 sample trig-GEMM block
 # README's largest grid (lattice-sim's 4001-sample half step) pass.
 MAX_SAMPLES = 2_000_000
 
-# Largest momentum_autocorr ensemble, in runs x (samples + sites). Its
-# arrays peak near 64 bytes per run and sample (the p0 series and their
-# FFTs) and 16 per run and site (the mode weights), so about 256 MB at
-# the limit; acceptance 07 (200 runs of 7601 samples and 4001 sites,
-# 2.3e6) peaks at 109 MB under tracemalloc.
+# Largest momentum_autocorr ensemble, in runs x (samples + sites). Only
+# the kept q0 series, 8 bytes per run and lag (lags <= samples), grow with
+# the run count. The rest is one block of _RUN_BLOCK runs or fewer, 8
+# bytes per run and sample for its p0 series, 40 per run and transform
+# sample for their FFTs (tracemalloc reads 33-36; the transform is 1.5 to
+# 2.7 times the samples) and 16 per run and site for its weights, plus
+# 200 per site for one draw, 16 (h + 1) per odd mode for the trig tables
+# (h = _half_width(samples, block)) and 8 _STACK for a trig-GEMM.
+# Acceptance 07 (200 runs of 7601 samples and 4001 sites, 2.3e6) peaks at
+# 26.6 MB under tracemalloc, 86% of this model, and the README's autocorr
+# (160 runs of 1521 samples and 801 sites) at 4.9 MB. The model reaches
+# about 470 MB at the limit, where 16 runs or fewer span a grid of up to
+# 2e6 samples whose lags reach its end.
 MAX_RUN_ENTRIES = 4_000_000
 
 # Longest chain, in sites 2M + 1. On a short grid a site costs about 600
 # bytes (the Gibbs draw, its sine transforms, integrate's mode weights);
-# on a long one _ensemble_series' trig tables add 16 (_CHUNK + 1) bytes.
-# lattice-sim with t_max = M - 1 peaks at 9.6 KB per site at M = 2000 and
-# 4000 (tracemalloc), so about 190 MB at the limit, M = 10000.
+# on a long one _trig_kernel's tables add 16 (_CHUNK + 1) bytes, and its
+# stacked products at most 8 _STACK in all. lattice-sim with t_max = M - 1
+# peaks at 12.8 and 10.1 KB per site at M = 2000 and 4000 (tracemalloc),
+# so about 200 MB at the limit, M = 10000.
 # Acceptance 07's and the README's chains (M = 2000 and 400) pass.
 MAX_SITES = 20_001
 
@@ -316,14 +327,23 @@ def _spectral_coeffs(state):
     return _dst1(np.stack((state.q, state.p)))
 
 
-def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
-    """Evaluate sum_k [Wc cos(omega_k t) + Ws sin(omega_k t)] columns.
+def _half_width(n_samples, n_series):
+    """Trig-table half-width h = min(_CHUNK, isqrt(n_samples n_series),
+    (n_samples - 1) // 2), sized so that short runs of few series build
+    no more table than they use."""
+    return min(_CHUNK, math.isqrt(n_samples * n_series), (n_samples - 1) // 2)
 
-    t runs over the uniform grid m dt, m = 0..n_samples-1; weight_* have
-    one column per requested series. Time is processed in blocks of
-    2h + 1 samples around a middle sample m, whose accumulation runs as
-    matrix products. The trig tables cos(omega tau), sin(omega tau) are
-    built once, for the offsets tau = j dt, j = 0..h; the block around
+
+def _trig_kernel(dt, omega, half):
+    """Trig tables of half-width h and the series evaluator that uses them.
+
+    The returned series(n_samples, weight_cos, weight_sin, out) writes
+    sum_k [Wc cos(omega_k t) + Ws sin(omega_k t)] into out, one column
+    per column of weight_*, for t on the uniform grid m dt, m =
+    0..n_samples-1. Time is processed in blocks of 2h + 1 samples around
+    a middle sample m, whose accumulation runs as matrix products. The
+    tables cos(omega tau), sin(omega tau) are built once, here, for the
+    offsets tau = j dt, j = 0..h, and serve every call; the block around
     t_m = m dt instead rotates the weights by its middle phase (angle
     addition),
 
@@ -336,35 +356,71 @@ def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
 
         out[m + j] = C_j + S_j,    out[m - j] = C_j - S_j.
 
-    The half-width h = min(_CHUNK, isqrt(n_samples n_series),
-    (n_samples - 1) // 2) comes from the call itself, so short runs of
-    few series build no more table than they use. Trig work is
-    (h + 1) n + n_samples n / (2h + 1) evaluations instead of
-    n_samples n, and the GEMMs take about n_samples table rows in all
-    instead of 2 n_samples.
+    The rotated weights of several time blocks sit side by side, so a
+    call of few series still makes wide products (one OpenBLAS thread
+    runs a 513 x 2001 table at 35 GF/s over 16 columns and 65 over
+    200); the stacked weights and the two products hold at most _STACK
+    entries. Trig work is (h + 1) n + n_samples n / (2h + 1)
+    evaluations instead of n_samples n, and the products take about
+    n_samples table rows in all instead of 2 n_samples.
     """
-    n_series = weight_cos.shape[1]
-    half = min(_CHUNK, math.isqrt(n_samples * n_series), (n_samples - 1) // 2)
+    n = omega.size
     phase = np.outer(np.arange(half + 1) * dt, omega)
     cos_tab = np.cos(phase)
     sin_tab = np.sin(phase, out=phase)  # two tables live, not three
-    even, odd = np.empty((2, half + 1, n_series))
-    out = np.empty((n_samples, n_series))
-    for lo in range(0, n_samples, 2 * half + 1):
-        # a partial last block is split about its own middle
-        size = min(2 * half + 1, n_samples - lo)
-        back = (size - 1) // 2
-        mid = lo + back
-        fwd = size - back
-        mid_phase = omega * (mid * dt)
-        c0, s0 = np.cos(mid_phase)[:, None], np.sin(mid_phase)[:, None]
-        wc = c0 * weight_cos + s0 * weight_sin
-        ws = c0 * weight_sin - s0 * weight_cos
-        np.matmul(cos_tab[:fwd], wc, out=even[:fwd])
-        np.matmul(sin_tab[:fwd], ws, out=odd[:fwd])
-        np.add(even[:fwd], odd[:fwd], out=out[mid:mid + fwd])
-        np.subtract(even[back:0:-1], odd[back:0:-1], out=out[lo:mid])
-    return out
+    span = 2 * half + 1
+
+    def series(n_samples, weight_cos, weight_sin, out):
+        n_series = weight_cos.shape[1]
+        blocks = []                         # (first sample, back, fwd)
+        for lo in range(0, n_samples, span):
+            # a partial last block is split about its own middle
+            size = min(span, n_samples - lo)
+            blocks.append((lo, (size - 1) // 2, size - (size - 1) // 2))
+        side = max(1, min(len(blocks),
+                          _STACK // ((n + 2 * (half + 1)) * n_series)))
+        # one row per series of each block, so the rotation runs along
+        # the modes; its transpose is the product's operand
+        stacked = np.empty((side * n_series, n))
+        even, odd = np.empty((2, half + 1, side * n_series))
+        for first in range(0, len(blocks), side):
+            group = blocks[first:first + side]
+            rows = max(fwd for _, _, fwd in group)
+            width = len(group) * n_series
+            mid_phase = np.outer([(lo + back) * dt for lo, back, _ in group],
+                                 omega)
+            c0 = np.cos(mid_phase)
+            s0 = np.sin(mid_phase, out=mid_phase)
+            # Wc' and then Ws' of every block of the group, side by side
+            for table, result, w1, w2, combine in (
+                    (cos_tab, even, weight_cos.T, weight_sin.T, np.add),
+                    (sin_tab, odd, weight_sin.T, weight_cos.T, np.subtract)):
+                for i in range(len(group)):
+                    part = stacked[i * n_series:(i + 1) * n_series]
+                    np.multiply(c0[i], w1, out=part)
+                    combine(part, s0[i] * w2, out=part)
+                np.matmul(table[:rows], stacked[:width].T,
+                          out=result[:rows, :width])
+            for i, (lo, back, fwd) in enumerate(group):
+                cols = slice(i * n_series, (i + 1) * n_series)
+                mid = lo + back
+                np.add(even[:fwd, cols], odd[:fwd, cols],
+                       out=out[mid:mid + fwd])
+                np.subtract(even[back:0:-1, cols], odd[back:0:-1, cols],
+                            out=out[lo:mid])
+        return out
+
+    return series
+
+
+def _ensemble_series(dt, n_samples, omega, weight_cos, weight_sin):
+    """sum_k [Wc cos(omega_k t) + Ws sin(omega_k t)], one column per
+    column of weight_*, on t = m dt, m = 0..n_samples-1, by _trig_kernel
+    with tables sized for this one call."""
+    n_series = weight_cos.shape[1]
+    series = _trig_kernel(dt, omega, _half_width(n_samples, n_series))
+    return series(n_samples, weight_cos, weight_sin,
+                  np.empty((n_samples, n_series)))
 
 
 def evolve_state(state: ChainState, cfg: ChainConfig, t) -> ChainState:
@@ -457,6 +513,8 @@ class SiteModelPair:
     Q: RationalFunction
 
     def __post_init__(self):
+        from .ratfun import is_inner
+
         for name in ("gamma", "gamma_bar"):
             m = np.asarray(getattr(self, name), dtype=float)
             m.setflags(write=False)
@@ -476,6 +534,8 @@ def reduced_models(c) -> SiteModelPair:
     """The 2x2 center-site pair: position integrates momentum, momentum
     relaxes at 2c forward and grows at 2c backward; Q(s) = (s-2c)/(s+2c).
     """
+    from .ratfun import RationalFunction
+
     if not c > 0:
         raise ValueError("c must be positive")
     gamma = np.array([[0.0, 1.0], [0.0, -2.0 * c]])
@@ -576,9 +636,17 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     are averaged in order. The p0 and q0 series of every run are sums
     over the odd modes only, the even ones having a node at the center;
     q0 is evaluated only over the reported lags. Lags are reported up to
-    half the run length, capped at the reflection-free window M/(2c).
-    An ensemble past MAX_RUN_ENTRIES is refused before any allocation.
+    the run's end, capped at M/(2c), half the reflection-free window.
+
+    Runs are drawn and evaluated _RUN_BLOCK at a time, and one pair of
+    trig tables serves the p0 and q0 series of every block. A block adds
+    its runs' autocovariances to a running sum in run order and writes
+    their q0 series into the kept (lags x runs) array; the p0 series and
+    their FFTs live for one block only. An ensemble past MAX_RUN_ENTRIES
+    is refused before any allocation.
     """
+    from .statmech import _fft_autocov
+
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     n, ctr = cfg.n_sites, cfg.center
@@ -597,27 +665,35 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     omega = cfg.mode_frequencies()[odd]
     phi0 = _site_rows(n, (ctr,))[0][odd]
 
-    # column r holds run r's weights
-    pc, ps = np.empty((2, omega.size, n_runs))
-    qc, qs = np.empty((2, omega.size, n_runs))
-    for r in range(n_runs):
-        state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
-        qh, ph = _spectral_coeffs(state)
-        qh, ph = qh[odd], ph[odd]
-        pc[:, r] = phi0 * ph
-        ps[:, r] = -phi0 * qh * omega
-        qc[:, r] = phi0 * qh
-        qs[:, r] = phi0 * ph / omega
-
-    p0_runs = _ensemble_series(cfg.dt, T, omega, pc, ps)             # (T, R)
-    q0_runs = _ensemble_series(cfg.dt, max_lag + 1, omega, qc, qs)   # (L, R)
-    gamma_hat = _fft_autocov(p0_runs, max_lag).mean(axis=1)
+    series = _trig_kernel(cfg.dt, omega,
+                          _half_width(T, min(n_runs, _RUN_BLOCK)))
+    acov_sum = np.zeros(max_lag + 1)
+    q0_runs = np.empty((max_lag + 1, n_runs))
+    for lo in range(0, n_runs, _RUN_BLOCK):
+        runs = range(lo, min(lo + _RUN_BLOCK, n_runs))
+        # row j holds run lo + j's weights; the series take columns
+        pc, ps, qc, qs = np.empty((4, len(runs), omega.size))
+        for j, r in enumerate(runs):
+            state = sample_invariant(cfg, np.random.default_rng([cfg.seed, r]))
+            qh, ph = _spectral_coeffs(state)
+            qh, ph = qh[odd], ph[odd]
+            pc[j] = phi0 * ph
+            ps[j] = -phi0 * qh * omega
+            qc[j] = phi0 * qh
+            qs[j] = phi0 * ph / omega
+        p0_runs = series(T, pc.T, ps.T, np.empty((T, len(runs))))
+        for acov in _fft_autocov(p0_runs, max_lag).T:    # in run order
+            acov_sum += acov
+        series(max_lag + 1, qc.T, qs.T, q0_runs[:, lo:lo + len(runs)])
+    # the tables and the last block (about 12 MB at acceptance 07's size)
+    # are gone before the oracle builds its own
+    del series, pc, ps, qc, qs, p0_runs
+    gamma_hat = acov_sum / n_runs
     lags = t[: max_lag + 1]
     oracle = autocov_oracle(cfg.c, cfg.beta, cfg.dt, max_lag + 1)
-    drift = np.var(q0_runs - q0_runs[0], axis=1)
-    # the weights, series and trig tables (about 50 MB at acceptance 07's
-    # size) are gone; only the report's short arrays survive
-    del pc, ps, qc, qs, p0_runs, q0_runs
+    q0_runs -= q0_runs[0]                          # q0(t_m) - q0(0)
+    drift = np.var(q0_runs, axis=1)
+    del q0_runs
     _release_free_heap()
     return AutocorrReport(lags, gamma_hat, oracle, drift)
 

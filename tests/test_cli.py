@@ -383,6 +383,24 @@ class TestUsageErrors:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([name, "--help"] for name in [*wavebath.cli._PARAMS,
+                                                     "report"]),
+        ["no-such-command"], ["autocorr", "--runs", "x"], [],
+    ])
+    def test_help_and_usage_errors_match_the_whole_parser(self, capsys,
+                                                          monkeypatch, argv):
+        # main builds only the invoked command's arguments; its help and
+        # usage errors read byte for byte as from the parser built whole
+        monkeypatch.setenv("COLUMNS", "80")
+        printed = []
+        for parse in (main, wavebath.cli._build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            printed.append((exc.value.code, *capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == (0 if "--help" in argv else 2)
+
     def test_bad_foster_text(self, tmp_path, capsys):
         code, _, _ = run(tmp_path, "couple", "--foster", "q9=1")
         assert code == 2
@@ -593,12 +611,12 @@ class TestUsageErrors:
     COMMAND_MODULES = {
         "couple": ["coupling", "ratfun", "realization"],
         "invert": ["coupling", "ratfun", "realization"],
-        "lattice-sim": ["_csv", "_errors", "lattice", "ratfun", "statmech"],
+        "lattice-sim": ["_csv", "_errors", "lattice"],
         "line-sim": ["_csv", "_errors", "coupling", "ratfun", "realization",
                      "waveline"],
         "string-sim": ["_csv", "_errors", "coupling", "ratfun",
                        "realization", "waveline"],
-        "autocorr": ["_csv", "_errors", "lattice", "ratfun", "statmech"],
+        "autocorr": ["_csv", "_errors", "lattice", "statmech"],
         "mb-stats": ["_csv", "statmech"],
         "report": [],
     }
@@ -779,6 +797,23 @@ class TestReport:
         assert err.strip().count("\n") == 0
         assert "bad" in err and "summary.json" in err
         assert not (out / "report.json").exists()
+
+    def test_bare_nan_in_a_summary_stays_out_of_the_report(self, tmp_path):
+        # a summary.json written before it was strict JSON
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "summary.json").write_text(
+            '{"id": "old", "command": "invert", "ok": false, "checks": '
+            '{"synthesis": {"pass": false, "value": NaN, "tol": 0.0}}}')
+        out = tmp_path / "out"
+        assert main(["report", str(old), "--out", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"bare {constant} in report.json")
+
+        table = json.loads((out / "report.json").read_text(),
+                           parse_constant=refuse)
+        assert table["runs"][0]["checks"]["synthesis"]["value"] == "nan"
 
     def test_failed_run_propagates(self, tmp_path):
         a, _ = self.make_runs(tmp_path)

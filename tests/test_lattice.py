@@ -30,8 +30,10 @@ from wavebath.lattice import (
     sample_invariant,
 )
 from wavebath.lattice import (MAX_RUN_ENTRIES, MAX_SAMPLES, MAX_SITES,
-                              _CHUNK, _dst1, _ensemble_series, _j0_nodes)
+                              _CHUNK, _RUN_BLOCK, _STACK, _dst1,
+                              _ensemble_series, _half_width, _j0_nodes)
 from wavebath.ratfun import RationalFunction
+from wavebath.statmech import _fft_length
 
 
 def dirichlet_potential(n_sites, c):
@@ -447,6 +449,21 @@ class TestAutocovOracle:
         assert got[0] == 1.0
 
 
+def autocorr_peak_model(cfg, n_runs):
+    """momentum_autocorr's peak bytes by the model stated next to
+    MAX_RUN_ENTRIES: the kept q0 series, one block's p0 series, FFTs and
+    weights, one draw, the trig tables and one trig-GEMM's stack."""
+    samples, sites = cfg.n_steps + 1, cfg.n_sites
+    lags = min(samples - 1, int(cfg.half_width / (2.0 * cfg.c) / cfg.dt)) + 1
+    block = min(n_runs, _RUN_BLOCK)
+    transform = _fft_length(samples + lags - 1)
+    half = _half_width(samples, block)
+    return (8 * lags * n_runs
+            + block * (8 * samples + 40 * transform + 16 * sites)
+            + 200 * sites + 16 * (half + 1) * (cfg.half_width + 1)
+            + 8 * _STACK)
+
+
 @pytest.fixture(scope="module")
 def report():
     cfg = ChainConfig(half_width=60, c=1.0, beta=1.3, dt=0.25,
@@ -503,6 +520,42 @@ class TestMomentumAutocorr:
         assert peak < 2 * 7 * limit * 8 / 10
         with pytest.raises(Sampled):
             momentum_autocorr(cfg, limit)
+
+    # the README's autocorr line and acceptance 07; holding every run's
+    # p0 series and FFTs at once took 18.7 MB and 109.1 MB
+    @pytest.mark.parametrize("cfg, n_runs", [
+        (ChainConfig(half_width=400, c=1.0, beta=1.0, dt=0.25, t_max=380.0,
+                     seed=1), 160),
+        (ChainConfig(half_width=2000, c=1.0, beta=1.3, dt=0.25,
+                     t_max=1900.0, seed=2026), 200),
+    ], ids=["readme", "acceptance-07"])
+    def test_peak_memory_follows_the_byte_model(self, cfg, n_runs):
+        tracemalloc.start()
+        try:
+            momentum_autocorr(cfg, n_runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= autocorr_peak_model(cfg, n_runs)
+
+    @pytest.mark.parametrize("n_runs", [1, _RUN_BLOCK, _RUN_BLOCK + 1])
+    def test_run_blocks_change_nothing_past_rounding(self, monkeypatch,
+                                                     n_runs):
+        # 1201 samples: the series cross several time blocks
+        cfg = ChainConfig(half_width=64, c=1.0, beta=0.7, dt=0.05,
+                          t_max=60.0, seed=3)
+        blocked = momentum_autocorr(cfg, n_runs)
+        monkeypatch.setattr(lattice, "_RUN_BLOCK", n_runs)
+        whole = momentum_autocorr(cfg, n_runs)
+        np.testing.assert_array_equal(blocked.lags, whole.lags)
+        np.testing.assert_array_equal(blocked.oracle, whole.oracle)
+        assert np.max(np.abs(blocked.empirical - whole.empirical)) \
+            <= 1e-13 * cfg.beta
+        assert np.max(np.abs(blocked.q_drift - whole.q_drift)) \
+            <= 1e-13 * np.max(whole.q_drift)
+        if n_runs <= _RUN_BLOCK:    # one block either way
+            np.testing.assert_array_equal(blocked.empirical, whole.empirical)
+            np.testing.assert_array_equal(blocked.q_drift, whole.q_drift)
 
     def test_runs_come_from_the_gibbs_sampler(self):
         cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
