@@ -25,12 +25,19 @@ the load by state feedback, so every observable's transfers share the
 pair's (Gamma, Gamma_bar, g). Their denominators are det(sI - Gamma),
 expanded from the poles, and det(sI - Gamma_bar) =
 (-1)^n det(-sI - Gamma). Their numerators are linear in the observable
-(h, d): each side keeps a basis of n + 1 coefficient rows, row i being
-e_i adj(sI - Gamma) g, read off a Hessenberg reduction of (Gamma, g),
-with the rows' values and slopes at the poles. An observable then costs
-a few small matrix-vector products per side; a pole it cannot see is
-cancelled by reading the numerator's value on it from the basis, so no
-numerator root finding is run.
+(h, d) and share one basis for the pair: rows e_i adj(sI - Gamma) g,
+read off one Hessenberg reduction of (Gamma, g). Rank-one feedback
+along g moves the poles but not this numerator,
+
+    adj(sI - A + g v^T) g = adj(sI - A) g    for every row v
+
+(the matrix determinant lemma with Sherman-Morrison; "state feedback
+does not move zeros", Kailath, Linear Systems, 1980), so
+adj(sI - Gamma) g = adj(sI - Gamma_bar) g. With each side's 2 det row
+and the rows' values and slopes at the poles of both sides, an
+observable costs two small matrix products for the pair; a pole it
+cannot see is cancelled by reading the numerator's value on it from
+the basis, so no numerator root finding is run.
 scattering_K maps an impedance's coefficients to K, for the round-trip
 check of a synthesized load.
 """
@@ -44,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .ratfun import (MATCH_TOL, SNAP_TOL, Polynomial, RationalFunction,
-                     _deflate_both, _trim, is_inner, is_lossless_pr,
+                     _deflate_both, is_inner, is_lossless_pr,
                      spectral_factor)
 from .realization import (
     ImproperImpedanceError,
@@ -131,42 +138,50 @@ class CoupledModelPair:
 
     @cached_property
     def transfer_bases(self):
-        """Forward and backward _TransferBasis of observable_transfers.
+        """The _TransferBasis that observable_transfers reads for both
+        sides.
 
-        Built on first access, one O(n^3) Hessenberg reduction per side
-        and no eigenproblem; every observable of the pair reads them.
+        Built on first access from one O(n^3) Hessenberg reduction for
+        the pair and no eigenproblem: Gamma and Gamma_bar are A under
+        opposite rank-one feedback along g, which leaves
+        adj(sI - Gamma) g = adj(sI - Gamma_bar) g, so the two sides
+        share their adjugate rows. Every observable of the pair reads it.
         """
         den = self.K.den
         den_bar = den.reflected().scaled(-1.0 if self.dim % 2 else 1.0)
-        return (_TransferBasis.build(self.gamma, self.input_gain, den,
-                                     self.poles, 1.0),
-                _TransferBasis.build(self.gamma_bar, self.input_gain,
-                                     den_bar, -self.poles, -1.0))
+        return _TransferBasis.build(self.gamma, self.input_gain,
+                                    (den, den_bar), self.poles)
 
 
 @dataclass(frozen=True, eq=False)
 class _TransferBasis:
-    """One side's linear map from an observable x = (h, d) to the
-    numerator of its wave transfer over den = det(sI - gamma).
+    """The pair's linear maps from an observable to the numerators of
+    its forward and backward wave transfers, over dens[0] =
+    det(sI - Gamma) and dens[1] = det(sI - Gamma_bar).
 
-    Row i < n of `rows` holds the coefficients (lowest degree first) of
-    e_i adj(sI - gamma) g, row n those of 2 den, all times `sign`, so
-    x @ rows is sign (h adj(sI - gamma) g + 2 d den). `probe` is
-    [values | slopes]: column j < n holds every row's value at pole j
-    (a root of den), column n + j its first derivative there, so one
-    product x @ probe gives a numerator's value and slope at every
-    pole. `threshold` is MATCH_TOL (1 + |pole|), the scale of the shared
-    pole test of _port_transfer.
+    Row i of the n x n rows R = numer[:n, :n] holds the coefficients
+    (lowest degree first) of e_i adj(sI - Gamma) g, which state feedback
+    along g leaves equal to e_i adj(sI - Gamma_bar) g. Side 0 reads
+    x_0 = (h, d) and side 1 x_1 = (-h_bar, d), the backward transfer's
+    sign. `numer` is block diagonal, one block per side: block s is
+    [R | 0] over side s's 2 det row times that sign, so
+    (x_0, x_1) @ numer gives both numerators' n + 1 coefficients.
+    `probe` has the same rows; its block s holds their values at
+    poles[s] and then their first derivatives there, so
+    (x_0, x_1) @ probe gives each numerator's value and slope at its own
+    side's poles. poles[s] holds the side's n poles (lam, then -lam) and
+    threshold[s] MATCH_TOL (1 + |pole|), the scale of the shared-pole
+    test of observable_transfers.
     """
 
-    rows: np.ndarray
-    den: Polynomial
+    numer: np.ndarray
+    dens: tuple
     poles: np.ndarray
     probe: np.ndarray
     threshold: np.ndarray
 
     @classmethod
-    def build(cls, gamma, gain, den, poles, sign):
+    def build(cls, gamma, gain, dens, poles):
         """Rows from the controller-Hessenberg form of (gamma, g), with
         no eigenproblem (Varga & Sima, Int. J. Control 33, 1981).
 
@@ -177,10 +192,11 @@ class _TransferBasis:
         backward recurrence (Wilkinson, The Algebraic Eigenvalue
         Problem, 1965): x_n = prod h_{k,k-1},
         x_{k-1} = ((s - h_kk) x_k - sum_{j>k} h_kj x_j) / h_{k,k-1}. No
-        x_k reaches degree n, so the rows' top coefficient is exactly
-        0. A lossless pair is controllable, so no h_{k,k-1} vanishes:
-        an uncontrollable mode of Gamma + Gamma^T = -g g^T / 2 sits on
-        the axis, where the pair's pole margin refuses it."""
+        x_k reaches degree n, so the rows have n coefficients. A lossless
+        pair is controllable, so no h_{k,k-1} vanishes: an
+        uncontrollable mode of Gamma + Gamma^T = -g g^T / 2 sits on the
+        axis, where the pair's pole margin refuses it. One Horner pass
+        over both sides, each at its own n poles, gives the probe."""
         n = gain.size
         m = np.column_stack([gain, gamma])  # [g | gamma]
         reflectors = []
@@ -199,19 +215,29 @@ class _TransferBasis:
         for k in reversed(range(n - 1)):  # x <- Q x
             v = reflectors[k]
             x[k:] -= v[:, None] * (v @ x[k:])
-        rows = np.zeros((n + 1, n + 1))
-        rows[:n, :n] = (sign * beta) * x
-        rows[n] = (2.0 * sign) * den.coeffs
-        values = np.zeros((n + 1, n), dtype=complex)
+        # side s: [R | 0] over its signed 2 det row, and its poles
+        sides = np.zeros((2, n + 1, n + 1))
+        sides[:, :n, :n] = beta * x
+        sides[:, n] = 2.0 * dens[0].coeffs, -2.0 * dens[1].coeffs
+        points = np.stack((poles, -poles))
+        values = np.zeros((2, n + 1, n), dtype=complex)
         slopes = np.zeros_like(values)
-        for c in rows.T[::-1]:  # Horner's rule with its derivative
-            slopes = slopes * poles + values
-            values = values * poles + c[:, None]
-        probe = np.hstack([values, slopes])
-        threshold = MATCH_TOL * (1.0 + np.abs(poles))
-        for arr in (rows, poles, probe, threshold):
+        at = points[:, None]
+        for k in reversed(range(n + 1)):  # Horner's rule with its derivative
+            slopes = slopes * at + values
+            values = values * at + sides[:, :, k, None]
+        # block diagonal: side s's rows meet only its own columns
+        numer = np.zeros((2, n + 1, 2, n + 1))
+        probe = np.zeros((2, n + 1, 2, 2 * n), dtype=complex)
+        for side in (0, 1):
+            numer[side, :, side] = sides[side]
+            probe[side, :, side] = np.hstack((values[side], slopes[side]))
+        numer = numer.reshape(2 * n + 2, 2 * n + 2)
+        probe = probe.reshape(2 * n + 2, 4 * n)
+        threshold = MATCH_TOL * (1.0 + np.abs(points))
+        for arr in (numer, points, probe, threshold):
             arr.setflags(write=False)
-        return cls(rows, den, poles, probe, threshold)
+        return cls(numer, dens, points, probe, threshold)
 
 
 def _reflector(x):
@@ -307,42 +333,45 @@ def observable_transfers(pair: CoupledModelPair, obs: Observable):
     Both come from the pair's own algebra, with g = 2 b0 = input_gain.
     The denominators are D = pair.K.den and Dbar(s) = (-1)^n D(-s),
     exact because Gamma_bar = -Gamma^T. The numerators are linear in
-    (h, d): pair.transfer_bases holds, per side, the n + 1 coefficient
-    rows of e_i adj(sI - Gamma) g and 2 D and their values and slopes at
-    the poles, so each side costs a few small matrix-vector products
-    and no eigenproblem. The first call on a pair builds the bases (one
-    Hessenberg reduction per side, no eigenproblem). A pole is cancelled
-    when the numerator vanishes on it to first order; no root of a
-    numerator is computed.
-    """
-    forward, backward = pair.transfer_bases
-    return (_port_transfer(forward, obs.h, obs.d),
-            _port_transfer(backward, obs.h_bar, obs.d))
-
-
-def _port_transfer(basis, h, d):
-    """x @ basis.rows / basis.den for x = (h, d), reduced.
-
+    (h, d) and (h_bar, d) over one set of rows e_i adj(sI - Gamma) g,
+    which rank-one feedback along g leaves equal to
+    e_i adj(sI - Gamma_bar) g. pair.transfer_bases holds them, each
+    side's 2 D row and their values and slopes at the poles of both
+    sides, so the two observable rows, stacked, take one product with
+    the rows and one with the probe, and no eigenproblem. The first call
+    on a pair builds the basis (one Hessenberg reduction for the pair).
     A pole is shared when the numerator vanishes there to first order,
     |num(r)| <= MATCH_TOL (1 + |r|) |num'(r)|: the Newton estimate of
     the distance to num's nearest root, on the scale root matching
-    uses. One product x @ basis.probe gives num and num' at every pole,
-    and basis.threshold holds MATCH_TOL (1 + |r|). The shared poles are
-    deflated from both, so no root of num is computed. The adjugate
-    part h @ rows[:n] is trimmed (_trim) at 1e-13 of its largest
-    coefficient before 2 d den is added: its top coefficients cancel to
-    rounding when h g = 0, and the trim keeps num's true degree without
-    dropping a small feedthrough d. num is the one Polynomial built.
+    uses. No root of a numerator is computed.
     """
-    n = h.size
-    at_poles = np.concatenate((h, [d])) @ basis.probe
-    adj, _ = _trim(h @ basis.rows[:-1], rel_tol=1e-13)
-    num = d * basis.rows[-1]
-    num[: adj.size] += adj
-    num, den = Polynomial(num), basis.den
-    shared = np.abs(at_poles[:n]) <= basis.threshold * np.abs(at_poles[n:])
+    basis = pair.transfer_bases
+    n, d = obs.h.size, obs.d
+    x = np.concatenate((obs.h, (d,), -obs.h_bar, (d,)))  # x_0, x_1
+    nums = (x @ basis.numer).reshape(2, n + 1)
+    at_poles = np.abs(x @ basis.probe).reshape(2, 2, n)
+    shared = at_poles[:, 0] <= basis.threshold * at_poles[:, 1]
+    return (_port_transfer(basis, 0, nums[0], d, shared[0]),
+            _port_transfer(basis, 1, nums[1], d, shared[1]))
+
+
+def _port_transfer(basis, side, num, d, shared):
+    """num / basis.dens[side], reduced.
+
+    num is the side's row of the stacked product (x_0, x_1) @
+    basis.numer, read off the rows both sides share (feedback along g
+    leaves adj(sI - Gamma) g = adj(sI - Gamma_bar) g), and `shared`
+    marks the side's poles that it vanishes on; they are deflated from
+    both, so no root of num is computed. num is trimmed once, as the one
+    Polynomial built. With d = 0 it is the adjugate part alone, trimmed
+    at 1e-13 of its largest coefficient: its top coefficients cancel to
+    rounding when h g = 0. Otherwise its degree is n, set by 2 d, and
+    only its exact zeros are trimmed, so a small feedthrough d is kept.
+    """
+    num = Polynomial(num, rel_tol=0.0 if d else 1e-13)
+    den = basis.dens[side]
     if shared.any():
-        num, den = _deflate_both(num, den, basis.poles[shared])
+        num, den = _deflate_both(num, den, basis.poles[side][shared])
     # coprime: every root of den that num vanishes on is deflated
     return RationalFunction(num, den, reduce=False)
 

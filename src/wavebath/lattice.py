@@ -51,8 +51,8 @@ re-deriving them numerically:
 Ensemble runs are pure functions of (config, run index): run r draws
 from default_rng([seed, r]) and results are reduced in run order, so
 reports are reproducible bit for bit. The ensemble is evaluated in
-blocks of _RUN_BLOCK runs, so its memory is one block's and the trig
-tables', plus the q0 series it keeps, whatever the run count.
+blocks of at most _RUN_BLOCK runs, so its memory is one block's and
+the trig tables', plus the q0 series it keeps, whatever the run count.
 
 Everything here runs on numpy alone. The autocovariance oracle's J0 is
 Bessel's integral under a midpoint rule sized from its largest
@@ -91,10 +91,16 @@ MAX_SAMPLES = 2_000_000
 # (h = _half_width(samples, block)) and 8 _STACK for a trig-GEMM.
 # Acceptance 07 (200 runs of 7601 samples and 4001 sites, 2.3e6) peaks at
 # 26.6 MB under tracemalloc, 86% of this model, and the README's autocorr
-# (160 runs of 1521 samples and 801 sites) at 4.9 MB. The model reaches
-# about 470 MB at the limit, where 16 runs or fewer span a grid of up to
-# 2e6 samples whose lags reach its end.
+# (160 runs of 1521 samples and 801 sites) at 4.9 MB. With a block's runs
+# x transform samples capped at MAX_BLOCK_FFT the model reaches about
+# 165 MB at the limit (14 runs of 2.6e5 samples on the longest chain, in
+# blocks of 2, lags to the grid's end), half of it the trig tables.
 MAX_RUN_ENTRIES = 4_000_000
+# Runs x transform samples of one momentum_autocorr block: 40 MB of FFTs.
+# A block holds fewer than _RUN_BLOCK runs when their transforms are long,
+# and one run whose transform alone is longer is refused. Acceptance 07's
+# blocks (16 x 11664) and the README's (16 x 2592) are under it.
+MAX_BLOCK_FFT = 1 << 20
 
 # Longest chain, in sites 2M + 1. On a short grid a site costs about 600
 # bytes (the Gibbs draw, its sine transforms, integrate's mode weights);
@@ -638,14 +644,16 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     q0 is evaluated only over the reported lags. Lags are reported up to
     the run's end, capped at M/(2c), half the reflection-free window.
 
-    Runs are drawn and evaluated _RUN_BLOCK at a time, and one pair of
-    trig tables serves the p0 and q0 series of every block. A block adds
-    its runs' autocovariances to a running sum in run order and writes
-    their q0 series into the kept (lags x runs) array; the p0 series and
-    their FFTs live for one block only. An ensemble past MAX_RUN_ENTRIES
-    is refused before any allocation.
+    Runs are drawn and evaluated _RUN_BLOCK at a time, or fewer when
+    their FFTs would pass MAX_BLOCK_FFT, and one pair of trig tables
+    serves the p0 and q0 series of every block. A block adds its runs'
+    autocovariances to a running sum in run order and writes their q0
+    series into the kept (lags x runs) array; the p0 series and their
+    FFTs live for one block only. An ensemble past MAX_RUN_ENTRIES, or a
+    run whose FFT alone passes MAX_BLOCK_FFT, is refused before any
+    allocation.
     """
-    from .statmech import _fft_autocov
+    from .statmech import _fft_autocov, _fft_length
 
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -657,20 +665,27 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
             f"{cfg.t_max}, dt = {cfg.dt}) and {n} sites is "
             f"{n_runs * (T + n):.4g} run entries; at most "
             f"{MAX_RUN_ENTRIES} are allowed")
-    t = cfg.t_grid
     max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))
+    transform = _fft_length(T + max_lag)        # _fft_autocov's length
+    block = min(n_runs, _RUN_BLOCK, MAX_BLOCK_FFT // transform)
+    if block < 1:
+        raise ValueError(
+            f"a grid of {T} samples (t_max = {cfg.t_max}, dt = {cfg.dt}) "
+            f"with lags up to {max_lag} (M = {cfg.half_width}, c = {cfg.c}) "
+            f"needs an FFT of {transform} samples per run; at most "
+            f"{MAX_BLOCK_FFT} are allowed")
+    t = cfg.t_grid
     # the center row phi0(k) is proportional to sin(pi k / 2): every even
     # mode has a node there, so p0 and q0 are sums over the odd modes
     odd = slice(0, None, 2)                        # k = 1, 3, 5, ...
     omega = cfg.mode_frequencies()[odd]
     phi0 = _site_rows(n, (ctr,))[0][odd]
 
-    series = _trig_kernel(cfg.dt, omega,
-                          _half_width(T, min(n_runs, _RUN_BLOCK)))
+    series = _trig_kernel(cfg.dt, omega, _half_width(T, block))
     acov_sum = np.zeros(max_lag + 1)
     q0_runs = np.empty((max_lag + 1, n_runs))
-    for lo in range(0, n_runs, _RUN_BLOCK):
-        runs = range(lo, min(lo + _RUN_BLOCK, n_runs))
+    for lo in range(0, n_runs, block):
+        runs = range(lo, min(lo + block, n_runs))
         # row j holds run lo + j's weights; the series take columns
         pc, ps, qc, qs = np.empty((4, len(runs), omega.size))
         for j, r in enumerate(runs):

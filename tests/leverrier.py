@@ -85,7 +85,7 @@ def match_observable_to_factor(load, pair, W_target):
             "target denominator is not the forward characteristic polynomial"
         )
     # column i: the coefficients of e_i adj(sI - Gamma) g, degree < n
-    cols = pair.transfer_bases[0].rows[:n, :n].T
+    cols = pair.transfer_bases.numer[:n, :n].T
     target = np.zeros(n)
     target[: W_target.num.coeffs.size] = W_target.num.coeffs
     c, res, rank, _ = np.linalg.lstsq(cols, target, rcond=None)

@@ -135,28 +135,35 @@ def same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def port_transfer_two_products(basis, h, d):
-    """Reference for _port_transfer: the rows' values and slopes at the
-    poles by Horner's rule, then one product with each, the pole test's
-    threshold formed per call and the adjugate part trimmed through a
-    Polynomial of its own. Returns the transfer and the shared-pole
-    mask."""
+def port_transfer_two_products(basis, side, h, d):
+    """Reference for one side of observable_transfers: the side's rows
+    [adjugate rows | 2 det row] and their values and slopes at the
+    side's poles by a Horner pass of its own, then one product with
+    each and the pole test's threshold formed per call. h is the side's
+    signed state row (h, or -h_bar for the backward side). Its
+    numerator is a product with the whole of basis.numer, the other
+    side's entries zero, as in the library (numpy may sum a shorter
+    product in another order). Returns the transfer and the
+    shared-pole mask."""
     n = h.size
+    poles = basis.poles[side]
+    block = slice(side * (n + 1), (side + 1) * (n + 1))
+    rows = basis.numer[block, block]
     values = np.zeros((n + 1, n), dtype=complex)
     slopes = np.zeros_like(values)
-    for c in basis.rows.T[::-1]:
-        slopes = slopes * basis.poles + values
-        values = values * basis.poles + c[:, None]
+    for c in rows.T[::-1]:
+        slopes = slopes * poles + values
+        values = values * poles + c[:, None]
     x = np.append(h, d)
-    adj = Polynomial(h @ basis.rows[:-1], rel_tol=1e-13).coeffs
-    num = d * basis.rows[-1]
-    num[: adj.size] += adj
-    num, den = Polynomial(num), basis.den
+    stacked = np.zeros(2 * n + 2)
+    stacked[block] = x
+    num = Polynomial((stacked @ basis.numer)[block],
+                     rel_tol=1e-13 if d == 0.0 else 0.0)
+    den = basis.dens[side]
     shared = (np.abs(x @ values)
-              <= MATCH_TOL * (1.0 + np.abs(basis.poles))
-              * np.abs(x @ slopes))
+              <= MATCH_TOL * (1.0 + np.abs(poles)) * np.abs(x @ slopes))
     if shared.any():
-        num, den = _deflate_both(num, den, basis.poles[shared])
+        num, den = _deflate_both(num, den, poles[shared])
     return RationalFunction(num, den, reduce=False), shared
 
 
@@ -590,9 +597,8 @@ class TestObservableTransfers:
             np.linalg, "eigvals",
             lambda M: eig_calls.append(M.shape) or eigvals(M))
         W, Wbar = observable_transfers(pair, first)
-        # the first observable builds the pair's bases by a Hessenberg
-        # reduction per side: the pair's poles stay its only
-        # eigendecomposition
+        # the first observable builds the pair's basis by one Hessenberg
+        # reduction: the pair's poles stay its only eigendecomposition
         assert eig_calls == []
         assert W.den.degree == Wbar.den.degree == 13
         assert (W / Wbar).close_to(pair.K, tol=1e-8)
@@ -618,22 +624,45 @@ class TestObservableTransfers:
                  FosterSpec(k0=0.0, tanks=((1.0, 1.0),))],
         ids=["dim5", "dim13", "dim25", "critically_damped_tank"])
     def test_basis_rows_match_exact_arithmetic(self, spec):
-        # row i < n is e_i adj(sI - Gamma) g. The critically damped
+        # row i is e_i adj(sI - Gamma) g, and feedback along g leaves it
+        # e_i adj(sI - Gamma_bar) g: the one set of rows is checked
+        # against the exact adjugate of both. The critically damped
         # tank's Gamma has a double pole at -1 and an eigenvector matrix
         # of condition number 1.3e8; the Householder reduction never
         # forms eigenvectors. The rows were within 4e-15 of the scale on
-        # 60 ceiling-family loads of dimensions 5 and 13
+        # 60 ceiling-family loads of dimensions 5 and 13, and are within
+        # 1.9e-15 of both exact adjugates at dimension 25 (0 on the tank)
         pair = close_loops(foster_realize(spec))
         n = pair.dim
-        for basis, gamma, sign in zip(pair.transfer_bases,
-                                      (pair.gamma, pair.gamma_bar),
-                                      (1.0, -1.0)):
-            assert np.all(basis.rows[:n, n] == 0.0)
+        numer = pair.transfer_bases.numer
+        rows = numer[:n, :n]
+        # both diagonal blocks hold the one set of rows, over a zero column
+        assert np.array_equal(numer[n + 1:-1, n + 1:-1], rows)
+        assert np.all(numer[:n, n] == 0.0)
+        assert np.all(numer[n + 1:-1, -1] == 0.0)
+        for gamma in (pair.gamma, pair.gamma_bar):
             adj, _ = exact_adjugate(gamma, pair.input_gain)
             want = np.array([[float(x) for x in col]
                              for col in adj[::-1]]).T
-            got = sign * basis.rows[:n, :n]
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 7, 13])
+    def test_one_reduction_per_pair(self, dim, monkeypatch):
+        # both sides share the rows, so the pair makes the n - 1
+        # Householder reflectors of one reduction, not 2 (n - 1)
+        spec = ceiling_specs(dim, dim // 2, count=1)[0]
+        load = foster_realize(spec if dim % 2 else FosterSpec(0.0, spec.tanks))
+        assert load.dim == dim
+        pair = close_loops(load)
+        calls = []
+        reflector = wavebath.coupling._reflector
+        monkeypatch.setattr(wavebath.coupling, "_reflector",
+                            lambda x: calls.append(x.size) or reflector(x))
+        obs = Observable.build(load, np.ones(dim), 0.5)
+        W, Wbar = observable_transfers(pair, obs)
+        observable_transfers(pair, obs)
+        assert calls == list(range(dim, 1, -1))
+        assert (W / Wbar).close_to(pair.K, tol=1e-8)
 
     @pytest.mark.parametrize("dim", [*range(1, 14), 25])
     def test_basis_matches_the_per_observable_route(self, dim):
@@ -663,9 +692,10 @@ class TestObservableTransfers:
     @pytest.mark.parametrize("dim", range(1, 14))
     def test_port_transfer_matches_the_two_product_route(self, dim,
                                                          monkeypatch):
-        # the stacked probe and its kept threshold against the route with
-        # separate value and slope products: the same coefficient bits and
-        # the same shared poles, on random, blind and d = 0 observables
+        # the joint probe of both sides and its kept threshold against a
+        # route with a Horner pass per side and separate value and slope
+        # products: the same coefficient bits and the same shared poles,
+        # on random, blind and d = 0 observables
         deflated = []
         deflate = wavebath.coupling._deflate_both
         monkeypatch.setattr(
@@ -684,21 +714,23 @@ class TestObservableTransfers:
             if dim > 2:
                 rows += [(blind_row(pair, seed), 0.0),
                          (blind_row(pair, seed + 7), float(rng.normal()))]
+            basis = pair.transfer_bases
             for h, d in rows:
                 obs = Observable.build(load, h, d)
-                for basis, row in zip(pair.transfer_bases,
-                                      (obs.h, obs.h_bar)):
-                    want, shared = port_transfer_two_products(basis, row, d)
-                    deflated.clear()
-                    got = wavebath.coupling._port_transfer(basis, row, d)
-                    assert same_bits(got.num.coeffs, want.num.coeffs)
-                    assert same_bits(got.den.coeffs, want.den.coeffs)
+                deflated.clear()
+                got = observable_transfers(pair, obs)
+                want_deflated = []
+                for side, row in enumerate((obs.h, -obs.h_bar)):
+                    want, shared = port_transfer_two_products(basis, side,
+                                                              row, d)
+                    assert same_bits(got[side].num.coeffs, want.num.coeffs)
+                    assert same_bits(got[side].den.coeffs, want.den.coeffs)
                     if shared.any():
                         seen_shared = True
-                        assert len(deflated) == 1
-                        assert same_bits(deflated[0], basis.poles[shared])
-                    else:
-                        assert deflated == []
+                        want_deflated.append(basis.poles[side][shared])
+                assert len(deflated) == len(want_deflated)
+                for a, b in zip(deflated, want_deflated):
+                    assert same_bits(a, b)
         assert seen_shared == (dim > 2)
 
     def test_quotient_runs_no_root_matching(self, monkeypatch):

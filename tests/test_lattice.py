@@ -11,7 +11,7 @@ from scipy.fft import dst
 from scipy.linalg import cholesky_banded, solve_banded
 from scipy.special import j0
 
-from wavebath import lattice, waveline
+from wavebath import lattice, statmech, waveline
 from wavebath.lattice import (
     AutocorrReport,
     ChainConfig,
@@ -452,11 +452,12 @@ class TestAutocovOracle:
 def autocorr_peak_model(cfg, n_runs):
     """momentum_autocorr's peak bytes by the model stated next to
     MAX_RUN_ENTRIES: the kept q0 series, one block's p0 series, FFTs and
-    weights, one draw, the trig tables and one trig-GEMM's stack."""
+    weights, one draw, the trig tables and one trig-GEMM's stack. A
+    block holds at most lattice.MAX_BLOCK_FFT transform samples."""
     samples, sites = cfg.n_steps + 1, cfg.n_sites
     lags = min(samples - 1, int(cfg.half_width / (2.0 * cfg.c) / cfg.dt)) + 1
-    block = min(n_runs, _RUN_BLOCK)
     transform = _fft_length(samples + lags - 1)
+    block = min(n_runs, _RUN_BLOCK, lattice.MAX_BLOCK_FFT // transform)
     half = _half_width(samples, block)
     return (8 * lags * n_runs
             + block * (8 * samples + 40 * transform + 16 * sites)
@@ -556,6 +557,63 @@ class TestMomentumAutocorr:
         if n_runs <= _RUN_BLOCK:    # one block either way
             np.testing.assert_array_equal(blocked.empirical, whole.empirical)
             np.testing.assert_array_equal(blocked.q_drift, whole.q_drift)
+
+    def test_block_fft_cap_bounds_the_peak(self, monkeypatch):
+        # 1201 samples whose lags reach the grid's end: 2592-sample
+        # FFTs, so a cap of 3 transforms makes blocks of 3, 3, ..., 1 runs
+        cfg = ChainConfig(half_width=200, c=1.0, beta=0.7, dt=0.05,
+                          t_max=60.0, seed=3)
+        transform = _fft_length(2401)
+        widths = []
+        fft_autocov = statmech._fft_autocov
+        monkeypatch.setattr(
+            statmech, "_fft_autocov",
+            lambda x, max_lag: widths.append(x.shape[1])
+            or fft_autocov(x, max_lag))
+
+        def traced(n_runs):
+            tracemalloc.start()
+            try:
+                report = momentum_autocorr(cfg, n_runs)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_peak = traced(_RUN_BLOCK)
+        assert widths == [_RUN_BLOCK]
+        widths.clear()
+        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", 3 * transform + 1)
+        capped, peak = traced(_RUN_BLOCK)
+        assert widths == [3] * 5 + [1]
+        assert peak <= autocorr_peak_model(cfg, _RUN_BLOCK)
+        # the cap keeps 13 runs' spectra, powers and inverse transforms
+        # (20 bytes per transform sample) out of the largest block
+        assert peak < whole_peak - (_RUN_BLOCK - 3) * 20 * transform
+        assert np.max(np.abs(capped.empirical - whole.empirical)) \
+            <= 1e-13 * cfg.beta
+        assert np.max(np.abs(capped.q_drift - whole.q_drift)) \
+            <= 1e-13 * np.max(whole.q_drift)
+
+    def test_long_transform_refused_before_allocation(self, monkeypatch):
+        cfg = ChainConfig(half_width=200, c=1.0, beta=0.7, dt=0.05,
+                          t_max=60.0, seed=3)
+
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lattice, "sample_invariant", sampled)
+        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", _fft_length(2401) - 1)
+        with pytest.raises(ValueError, match=r"a grid of 1201 samples "
+                           r"\(t_max = 60.0, dt = 0.05\) with lags up to "
+                           r"1200 \(M = 200, c = 1.0\) needs an FFT of 2592 "
+                           r"samples per run; at most 2591 are allowed"):
+            momentum_autocorr(cfg, 1)
+        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", _fft_length(2401))
+        with pytest.raises(Sampled):
+            momentum_autocorr(cfg, 1)
 
     def test_runs_come_from_the_gibbs_sampler(self):
         cfg = ChainConfig(half_width=20, c=1.0, beta=0.7, dt=0.5,
