@@ -56,6 +56,11 @@ SNAP_TOL = 1e-8
 SYMMETRY_TOL = 1e-8
 
 
+# spectral_factor's sign probes of Phi on the imaginary axis
+_AXIS_PROBES = np.array([0.0, 0.37j, 1.0j, 2.83j])
+_AXIS_PROBES.setflags(write=False)
+
+
 class DegreeCapError(ValueError):
     """A polynomial operation would exceed the supported degree."""
 
@@ -477,7 +482,7 @@ class RationalFunction:
         """
         dv = self.den(s)
         scale = Polynomial(np.abs(self.den.coeffs))(np.abs(s))
-        if np.any(np.abs(dv) <= 1e-12 * scale):
+        if (np.abs(dv) <= 1e-12 * scale).any():
             raise PoleEvaluationError(f"evaluation at/near a pole (s={s!r})")
         return self.num(s) / dv
 
@@ -577,9 +582,12 @@ def _proportional(p, q, tol=1e-8):
     if p.is_zero or q.is_zero or p.coeffs.size != q.coeffs.size:
         return None
     k = p.leading / q.leading
-    scale = max(p.max_abs_coeff(), abs(k) * q.max_abs_coeff())
-    if np.max(np.abs(p.coeffs - k * q.coeffs)) <= tol * scale:
-        return float(k)
+    bound = tol * max(p.max_abs_coeff(), abs(k) * q.max_abs_coeff())
+    # Python floats, as in _trim: the IEEE operations of the array form
+    # at a fraction of its per-call cost; a NaN term fails its test
+    if all(abs(a - k * b) <= bound
+           for a, b in zip(p.coeffs.tolist(), q.coeffs.tolist())):
+        return k
     return None
 
 
@@ -588,7 +596,7 @@ def _has_parity(p, parity):
     vanish to SYMMETRY_TOL of its largest coefficient."""
     wrong = p.coeffs[1 - parity::2]
     return wrong.size == 0 or bool(
-        np.max(np.abs(wrong)) <= SYMMETRY_TOL * p.max_abs_coeff())
+        np.abs(wrong).max() <= SYMMETRY_TOL * p.max_abs_coeff())
 
 
 def _poly_close(p, q, tol, scale):
@@ -598,7 +606,7 @@ def _poly_close(p, q, tol, scale):
     pb = np.zeros(n)
     pa[: a.size] = a
     pb[: b.size] = b
-    return bool(np.max(np.abs(pa - pb)) <= tol * scale)
+    return bool(np.abs(pa - pb).max() <= tol * scale)
 
 
 # ---------------------------------------------------------------------
@@ -728,13 +736,14 @@ def spectral_factor(Phi):
     pn = [r for r in den_roots if r.real < 0]
     if 2 * len(zn) != len(num_roots) or 2 * len(pn) != len(den_roots):
         raise SpectralFactorError("roots do not split evenly across the axis")
-    phi0 = Phi.evaluate(0.0)
-    if phi0 <= 0:
+    # Phi at the origin and at a few axis points, to catch sign flips
+    # from conditioning bugs
+    if (Phi.evaluate(_AXIS_PROBES).real <= 0).any():
         raise SpectralFactorError("spectrum is not positive on the axis")
-    # probe a few axis points to catch sign flips from conditioning bugs
-    for w in (0.37, 1.0, 2.83):
-        if Phi.evaluate(1j * w).real <= 0:
-            raise SpectralFactorError("spectrum is not positive on the axis")
+    # Phi(0) with the bits of Phi.evaluate(0.0), a real division of the
+    # constant terms (the complex probe above rounds it otherwise); no
+    # axis root makes either zero
+    phi0 = Phi.num.coeffs[0] / Phi.den.coeffs[0]
     wn = Polynomial.from_roots(zn)
     wd = Polynomial.from_roots(pn)
     # gain fixed by matching at s = 0 (safe: no axis roots)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratfun import Polynomial, RationalFunction, SNAP_TOL, foster_data
+from .ratfun import (DEGREE_CAP, SNAP_TOL, Polynomial, RationalFunction,
+                     foster_data)
 
 
 class FosterParseError(ValueError):
@@ -215,21 +216,32 @@ class CertificateReport:
 
 
 def foster_to_rational(spec: FosterSpec) -> RationalFunction:
-    """Expand the partial-fraction form over the common denominator."""
+    """Expand the partial-fraction form over the common denominator.
+
+    The branches are multiplied out on raw coefficient arrays, by the
+    np.convolve calls and sums that Polynomial arithmetic would run, in
+    its order, and each side is wrapped as a Polynomial once: the same
+    bits with two objects built. Every coefficient is a sum of products
+    of the positive k0, 2 k_i and omega_i^2, so no top coefficient
+    cancels and the two products of a sum have one length. The
+    expansion stops at the first denominator past DEGREE_CAP, which the
+    wrap refuses at that degree.
+    """
     terms = []
     if spec.k0 > 0:
-        terms.append((Polynomial([spec.k0]), Polynomial([0.0, 1.0])))
+        terms.append((np.array([spec.k0]), np.array([0.0, 1.0])))
     for k, w in spec.tanks:
-        terms.append((Polynomial([0.0, 2.0 * k]), Polynomial([w * w, 0.0, 1.0])))
+        terms.append((np.array([0.0, 2.0 * k]), np.array([w * w, 0.0, 1.0])))
     if not terms:
         raise DegenerateLoadError("load needs k0 > 0 or at least one tank")
-    num = Polynomial.zero()
-    den = Polynomial.one()
-    for tn, td in terms:
-        num = num * td + tn * den
-        den = den * td
+    num, den = terms[0]
+    for tn, td in terms[1:]:
+        num = np.convolve(num, td) + np.convolve(tn, den)
+        den = np.convolve(den, td)
+        if den.size > DEGREE_CAP + 1:
+            break
     # coprime: the branch poles are distinct and each keeps its residue
-    return RationalFunction(num, den, reduce=False)
+    return RationalFunction(Polynomial(num), Polynomial(den), reduce=False)
 
 
 def foster_realize(spec: FosterSpec) -> LosslessRealization:
@@ -282,9 +294,8 @@ def verify_lossless_certificate(r: LosslessRealization) -> CertificateReport:
 def _certificate_residuals(ss):
     """(max |A + A^T| / max |A|, max |b - c| / max(|b|, |c|))."""
     A, b, c = ss.A, ss.b, ss.c
-    lyap = np.max(np.abs(A.T + A)) / max(np.max(np.abs(A)), 1e-30)
-    gain = np.max(np.abs(b - c)) / max(np.max(np.abs(b)), np.max(np.abs(c)),
-                                       1e-30)
+    lyap = np.abs(A.T + A).max() / max(np.abs(A).max(), 1e-30)
+    gain = np.abs(b - c).max() / max(np.abs(b).max(), np.abs(c).max(), 1e-30)
     return float(lyap), float(gain)
 
 

@@ -8,6 +8,7 @@ the implementation.
 """
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -1007,7 +1008,45 @@ class TestSynthesis:
             assert got == pytest.approx(want, rel=1e-6)
 
 
+def acceptance_01_family():
+    """The 100 loads of acceptance 01 (test_acceptance.load_family)."""
+    rng = np.random.default_rng(20260817)
+    out = []
+    while len(out) < 100:
+        spec = random_foster(rng, max_tanks=4)
+        if spec.state_dim > 8:
+            spec = FosterSpec(0.0, spec.tanks)
+        out.append(close_loops(foster_realize(spec)))
+    return out
+
+
 class TestReport:
+    def test_one_eigenproblem_per_pair(self, monkeypatch):
+        # the report reads eig(Gamma_bar) off the pair's poles
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(1) or eigvals(a))
+        for load in (CAP, TANK, CAP_TANK):
+            calls.clear()
+            coupling_report(close_loops(load))
+            assert len(calls) == 1
+
+    def test_gamma_bar_eigs_mirror_with_positive_zero(self):
+        # against the eigenproblem of Gamma_bar itself; a real pole's
+        # imaginary part is +0.0, so couple never writes -0.0
+        seen_real = False
+        for pair in acceptance_01_family():
+            eigs = coupling_report(pair)["gamma_bar_eigs"]
+            got = np.array([complex(re, im) for re, im in eigs])
+            want = np.sort_complex(np.linalg.eigvals(pair.gamma_bar))
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+            for re, im in eigs:
+                if im == 0.0:
+                    seen_real = True
+                    assert math.copysign(1.0, im) == 1.0
+        assert seen_real
+
     def test_fields_and_sanity(self):
         pair = close_loops(CAP_TANK)
         rep = coupling_report(pair)

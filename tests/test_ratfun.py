@@ -524,6 +524,13 @@ class TestSpectralFactor:
         with pytest.raises(SpectralFactorError):
             spectral_factor(rat([0.0, 0.0, 1.0], [1.0]))
 
+    def test_negative_on_the_axis_rejected(self):
+        # Phi = -1/(1 - s^2) = -1/(1 + w^2) on the axis: even, with its
+        # roots at +-1 off the axis, so only the sign probes refuse it
+        with pytest.raises(SpectralFactorError,
+                           match="spectrum is not positive on the axis"):
+            spectral_factor(rat([-1.0], [1.0, 0.0, -1.0]))
+
     def test_inner_quotient_for_zero_free_factors(self):
         # when W has no finite zeros, W(-s)^{-1} W(s) is inner
         Phi = rat([9.0], [4.0, 0.0, -5.0, 0.0, 1.0])

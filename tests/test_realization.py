@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leverrier import transfer_function
-from wavebath.ratfun import RationalFunction, is_lossless_pr
+from wavebath.ratfun import (DegreeCapError, Polynomial, RationalFunction,
+                             is_lossless_pr)
 from wavebath.realization import (
     CertificateReport,
     DegenerateLoadError,
@@ -110,6 +111,52 @@ class TestFosterToRational:
             Z = foster_to_rational(spec)
             assert is_lossless_pr(Z)
             assert Z.num.degree < Z.den.degree
+
+    @pytest.mark.parametrize("n_tanks, with_k0",
+                             [(n, k0) for n in range(7) for k0 in (0, 1)
+                              if n or k0])
+    def test_one_polynomial_per_side(self, n_tanks, with_k0, monkeypatch):
+        # the branches multiply out on raw coefficients: one Polynomial
+        # for the numerator and one for the denominator, and the same
+        # bits as the product of the branches' Polynomials
+        rng = np.random.default_rng(10 * n_tanks + with_k0)
+        spec = FosterSpec(rng.uniform(0.2, 2.0) if with_k0 else 0.0,
+                          tuple((rng.uniform(0.2, 2.0), 0.4 * i + 0.7)
+                                for i in range(n_tanks)))
+        want = polynomial_product_route(spec)
+        built = []
+        init = Polynomial.__init__
+        monkeypatch.setattr(Polynomial, "__init__",
+                            lambda self, *a, **k: built.append(1)
+                            or init(self, *a, **k))
+        Z = foster_to_rational(spec)
+        assert len(built) == 2
+        for got, ref in ((Z.num, want.num), (Z.den, want.den)):
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_degree_cap_refused_where_the_products_pass_it(self):
+        # the product first passes the cap at degree 33, whichever
+        # degree the whole load would have
+        for k0, n_tanks in ((1.0, 16), (1.0, 20), (0.0, 17)):
+            spec = FosterSpec(k0, tuple((1.0, 1.0 + i) for i in
+                                        range(n_tanks)))
+            with pytest.raises(DegreeCapError, match="degree 33 exceeds"):
+                polynomial_product_route(spec)
+            with pytest.raises(DegreeCapError, match="degree 33 exceeds"):
+                foster_to_rational(spec)
+
+
+def polynomial_product_route(spec):
+    """Z over the common denominator as a sum of Polynomial products,
+    branch by branch: the reference for foster_to_rational's bits."""
+    num, den = Polynomial.zero(), Polynomial.one()
+    terms = [(Polynomial([spec.k0]), Polynomial([0.0, 1.0]))] * (spec.k0 > 0)
+    terms += [(Polynomial([0.0, 2.0 * k]), Polynomial([w * w, 0.0, 1.0]))
+              for k, w in spec.tanks]
+    for tn, td in terms:
+        num = num * td + tn * den
+        den = den * td
+    return RationalFunction(num, den, reduce=False)
 
 
 class TestFosterRealize:
