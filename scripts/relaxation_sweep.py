@@ -37,7 +37,7 @@ def main():
     for name, spec in LOADS:
         load = foster_realize(spec)
         pair = close_loops(load)
-        predicted = float(np.max(np.linalg.eigvals(pair.gamma).real))
+        predicted = float(np.max(pair.poles.real))
         config = LineConfig(dx=0.01, x_max=30.0, t_max=29.0, load=load)
         _, trace = run_line(config, bump(config))
         measured = decay_rate_probe(trace, (12.0, 28.0))

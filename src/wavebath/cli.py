@@ -317,7 +317,7 @@ def _parse_window(text):
 def _run_wave_sim(params, out_dir, convention):
     import numpy as np
 
-    from . import waveline
+    from . import coupling, waveline
 
     load, spec = _load_from(params)
     cfg = waveline.LineConfig(
@@ -338,14 +338,15 @@ def _run_wave_sim(params, out_dir, convention):
     else:
         raise ConfigError(f"unknown init {params['init']!r}")
 
-    boundary = waveline.BoundaryCoupler.from_config(cfg, convention=convention)
-    _, trace = waveline.propagate(field, cfg.n_steps, boundary)
+    pair = coupling.close_loops(load)
+    obs = coupling.Observable.build(load, load.ss.c, 0.0)
+    _, trace = waveline.propagate(field, cfg.n_steps, cfg, pair, obs,
+                                  convention)
 
-    fwd, _ = waveline.reduced_forward(boundary.pair, boundary.obs, trace.w,
+    fwd, _ = waveline.reduced_forward(pair, obs, trace.w,
                                       np.zeros(load.dim), cfg.dt)
-    bwd, _ = waveline.reduced_backward(boundary.pair, boundary.obs,
-                                       trace.w_bar, trace.xi[-1], cfg.dt,
-                                       convention=convention)
+    bwd, _ = waveline.reduced_backward(pair, obs, trace.w_bar, trace.xi[-1],
+                                       cfg.dt, convention=convention)
     scale = max(float(np.max(np.abs(trace.xi))), 1e-30)
     checks = {
         "energy_drift_per_time": _check(waveline.energy_drift(trace), 1e-9),
@@ -362,7 +363,7 @@ def _run_wave_sim(params, out_dir, convention):
     }
     window = _parse_window(params["window"])
     if window is not None:
-        expected = float(np.max(boundary.pair.poles.real))
+        expected = float(np.max(pair.poles.real))
         rate = waveline.decay_rate_probe(trace, window)
         checks["decay_rate"] = _check(abs(rate - expected) / abs(expected), 0.05)
         result["decay_rate"] = rate

@@ -653,7 +653,7 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
     run whose FFT alone passes MAX_BLOCK_FFT, is refused before any
     allocation.
     """
-    from .statmech import _fft_autocov, _fft_length
+    from .statmech import _fft_autocov, autocov_fft_length
 
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -666,7 +666,7 @@ def momentum_autocorr(cfg: ChainConfig, n_runs) -> AutocorrReport:
             f"{n_runs * (T + n):.4g} run entries; at most "
             f"{MAX_RUN_ENTRIES} are allowed")
     max_lag = min(T - 1, int(np.floor(cfg.half_width / (2.0 * cfg.c) / cfg.dt)))
-    transform = _fft_length(T + max_lag)        # _fft_autocov's length
+    transform = autocov_fft_length(T, max_lag)
     block = min(n_runs, _RUN_BLOCK, MAX_BLOCK_FFT // transform)
     if block < 1:
         raise ValueError(

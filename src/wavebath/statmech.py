@@ -231,20 +231,26 @@ def _fft_length(n):
     return best
 
 
+def autocov_fft_length(n, max_lag):
+    """_fft_autocov's transform length: the smallest 2^a 3^b >= n + max_lag.
+
+    Circular lag k also picks up linear lag k - length, at most -n and
+    so beyond the series for k <= max_lag: the FFT's circular
+    correlation is the linear one up to max_lag.
+    """
+    return _fft_length(n + max_lag)
+
+
 def _fft_autocov(x, max_lag):
     """Biased (1/n) autocovariance of x along axis 0, lags 0..max_lag.
 
     The series are centered and transposed once, so each transform runs
-    along a contiguous row. Each is zero-padded to the smallest 2^a 3^b
-    length at least n + max_lag: circular lag k also picks up linear
-    lag k - length, which is at most -n, beyond the series, for
-    k <= max_lag, so the FFT's circular correlation is the linear one
-    up to max_lag.
+    along a contiguous row, zero-padded to autocov_fft_length.
     """
     n = x.shape[0]
     centered = x.T.copy()
     centered -= centered.mean(axis=-1, keepdims=True)
-    size = _fft_length(n + max_lag)
+    size = autocov_fft_length(n, max_lag)
     spec = np.fft.rfft(centered, n=size)
     power = spec.real ** 2 + spec.imag ** 2
     return np.fft.irfft(power, n=size)[..., : max_lag + 1].T / n

@@ -34,7 +34,11 @@ costs O(steps + cells) rather than O(steps * cells).
 Wave sign conventions: the line trace stores the outgoing series as
 wbar = w - v0 (the transmission-line orientation); the string
 scenario flips the outgoing sign (wbar_string = v0 - w) and drives
-the backward model with the opposite sign. One engine, one switch.
+the backward model with the opposite sign: one engine, one switch,
+CONVENTION_SIGN. propagate reads the grid, load and far end from the
+run's LineConfig and takes the CoupledModelPair and Observable the
+reduced models take, so a caller builds them once; a field on another
+grid is refused.
 
 The wbar samples are midpoint (cell) values, offset half a step from
 the t grid; that is exactly what the backward reduced model needs to
@@ -44,7 +48,7 @@ trace row, which no step produced, stores the point value w - c0 xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +66,9 @@ from .realization import LosslessRealization
 # The README's line-sim (2600 cells, 2500 steps) and the line benchmark's
 # longest run (200 cells, 1e5 steps at dimension 5: 7e5 entries) pass.
 MAX_LINE_ENTRIES = 5_000_000
+
+# sign of the outgoing column and of the backward model's drive
+CONVENTION_SIGN = {"line": 1.0, "string": -1.0}
 
 
 class ContaminatedWindowError(ValueError):
@@ -172,8 +179,10 @@ def gaussian_field(rng, n_cells, dx, sigma=1.0) -> WaveField:
     """White-noise-like initial data: v, i i.i.d. N(0, sigma^2/dx).
 
     The 1/dx variance scaling keeps the wave spectrum flat with
-    grid-independent level up to the grid cutoff.
+    grid-independent level up to the grid cutoff. sigma must be finite, >= 0.
     """
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     scale = sigma / np.sqrt(dx)
     v0 = scale * rng.standard_normal(n_cells)
     i0 = scale * rng.standard_normal(n_cells)
@@ -195,7 +204,6 @@ class BoundaryTrace:
     w: np.ndarray
     w_bar: np.ndarray
     energy: np.ndarray
-    convention: str = "line"
 
     def to_csv(self, fh):
         """Fixed-order CSV: t,xi_1..xi_n,y,w,wbar (17 significant digits)."""
@@ -205,38 +213,10 @@ class BoundaryTrace:
                   (self.t_grid, self.xi, self.y, self.w, self.w_bar))
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryCoupler:
-    """Precomputed boundary step for one load at one step size.
-
-    Holds the Cayley (trapezoidal) update matrices of the forward
-    feedback matrix and the observable used for the y column.
-    """
-
-    load: LosslessRealization
-    pair: CoupledModelPair
-    obs: Observable
-    dt: float
-    far_end: str = "open"
-    reflection_free: bool = True
-    convention: str = "line"
-    step_matrix: np.ndarray = dc_field(init=False, repr=False)
-    input_matrix: np.ndarray = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.convention not in ("line", "string"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        S, g = _cayley(self.pair.gamma, self.pair.input_gain, self.dt)
-        object.__setattr__(self, "step_matrix", S)
-        object.__setattr__(self, "input_matrix", g)
-
-    @classmethod
-    def from_config(cls, config: LineConfig, obs=None, convention="line"):
-        pair = close_loops(config.load)
-        if obs is None:
-            obs = Observable.build(config.load, config.load.ss.c, 0.0)
-        return cls(config.load, pair, obs, config.dt,
-                   config.far_end, config.reflection_free, convention)
+def _convention_sign(convention):
+    if convention not in CONVENTION_SIGN:
+        raise ValueError(f"unknown convention {convention!r}")
+    return CONVENTION_SIGN[convention]
 
 
 def _cayley(G, gain, h):
@@ -261,12 +241,15 @@ def _cayley_steps(S, g, u, x0):
     return x
 
 
-def propagate(field: WaveField, steps: int, boundary: BoundaryCoupler,
+def propagate(field: WaveField, steps: int, config: LineConfig,
+              pair: CoupledModelPair, obs: Observable, convention="line",
               xi0=None):
     """Run the coupled system for the given number of steps.
 
     Returns (final field, boundary trace). The input field is not
-    modified.
+    modified. dt, the far end and the load come from config, the
+    feedback matrix from pair = close_loops(config.load), the y column
+    from obs. A field off config's grid (dx or cell count) is refused.
 
     The line is a pair of delay lines. With n cells, w[k] is the
     incoming sample the load sees at step k and d[k] the outgoing
@@ -283,18 +266,19 @@ def propagate(field: WaveField, steps: int, boundary: BoundaryCoupler,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    sign = _convention_sign(convention)
     a0, b0, dx = field.a_prime, field.b_prime, field.dx
     n = a0.size
-    if n == 0:
-        raise ValueError("line needs at least one cell")
+    if dx != config.dx or n != config.n_cells:
+        raise ValueError(
+            f"field has {n} cells at dx = {dx}, config wants "
+            f"{config.n_cells} cells at dx = {config.dx}")
 
-    load, obs = boundary.load, boundary.obs
-    S, g = boundary.step_matrix, boundary.input_matrix
+    load, h = config.load, config.dt
+    S, g = _cayley(pair.gamma, pair.input_gain, h)
     c0 = load.ss.c
-    h = boundary.dt
-    sign = 1.0 if boundary.convention == "line" else -1.0
-    shorted = boundary.far_end == "shorted"
-    guarded = shorted and boundary.reflection_free
+    shorted = config.far_end == "shorted"
+    guarded = shorted and config.reflection_free
 
     w = np.zeros(steps + n)
     w[:n] = a0
@@ -340,19 +324,19 @@ def propagate(field: WaveField, steps: int, boundary: BoundaryCoupler,
                 + 0.5 * np.einsum("mi,mi->m", xis, xis)
                 + field.radiated)
     trace = BoundaryTrace(np.arange(steps + 1) * h, xis, ys, ws, wbars,
-                          energies, boundary.convention)
+                          energies)
     return out, trace
 
 
 def run_line(config: LineConfig, field: WaveField, obs=None,
              convention="line", xi0=None):
-    """Convenience wrapper: build the coupler and run t_max worth of steps."""
-    if field.a_prime.size != config.n_cells:
-        raise ValueError(
-            f"field has {field.a_prime.size} cells, config wants {config.n_cells}"
-        )
-    boundary = BoundaryCoupler.from_config(config, obs=obs, convention=convention)
-    return propagate(field, config.n_steps, boundary, xi0=xi0)
+    """propagate t_max worth of steps with the load's closed loops and,
+    unless obs is given, its port voltage as the y column."""
+    pair = close_loops(config.load)
+    if obs is None:
+        obs = Observable.build(config.load, config.load.ss.c, 0.0)
+    return propagate(field, config.n_steps, config, pair, obs, convention,
+                     xi0)
 
 
 # ---------------------------------------------------------------------
@@ -392,13 +376,11 @@ def reduced_backward(pair: CoupledModelPair, obs: Observable, w_bar, xiT,
     entry [steps] is never read. The string convention flips the drive
     sign. Returns (xi, y) with y = hbar xi + 2 d w_bar.
     """
-    if convention not in ("line", "string"):
-        raise ValueError(f"unknown convention {convention!r}")
+    sign = _convention_sign(convention)
     w_bar = np.asarray(w_bar, dtype=float)
     if w_bar.ndim != 1 or w_bar.size == 0:
         raise ValueError("w_bar must be a nonempty 1-d series")
     steps = w_bar.size - 1
-    sign = 1.0 if convention == "line" else -1.0
     S, g = _cayley(pair.gamma_bar, pair.input_gain, -dt)
     # run in reverse time, then return the states in time order; the
     # contiguous copy keeps y's matrix product in the forward layout

@@ -582,9 +582,10 @@ class TestUsageErrors:
         (["string-sim", "--x-max", "inf"], "x_max"),
         (["line-sim", "--center", "nan"], "finite"),
         (["line-sim", "--width", "0"], "finite"),
-        (["string-sim", "--init", "noise", "--sigma", "nan"], "finite"),
+        (["string-sim", "--init", "noise", "--sigma", "nan"], "sigma"),
+        (["line-sim", "--init", "noise", "--sigma", "-1"], "sigma"),
     ], ids=["t-max-nan", "unguarded-t-max-inf", "x-max-inf", "center-nan",
-            "width-zero", "sigma-nan"])
+            "width-zero", "sigma-nan", "sigma-negative"])
     def test_non_finite_line_input_exits_two_without_traceback(
             self, tmp_path, argv, name):
         proc = python(["-m", "wavebath.cli", *argv, "--foster", "k0=1",

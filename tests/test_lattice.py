@@ -33,7 +33,7 @@ from wavebath.lattice import (MAX_RUN_ENTRIES, MAX_SAMPLES, MAX_SITES,
                               _CHUNK, _RUN_BLOCK, _STACK, _dst1,
                               _ensemble_series, _half_width, _j0_nodes)
 from wavebath.ratfun import RationalFunction
-from wavebath.statmech import _fft_length
+from wavebath.statmech import autocov_fft_length
 
 
 def dirichlet_potential(n_sites, c):
@@ -456,7 +456,7 @@ def autocorr_peak_model(cfg, n_runs):
     block holds at most lattice.MAX_BLOCK_FFT transform samples."""
     samples, sites = cfg.n_steps + 1, cfg.n_sites
     lags = min(samples - 1, int(cfg.half_width / (2.0 * cfg.c) / cfg.dt)) + 1
-    transform = _fft_length(samples + lags - 1)
+    transform = autocov_fft_length(samples, lags - 1)
     block = min(n_runs, _RUN_BLOCK, lattice.MAX_BLOCK_FFT // transform)
     half = _half_width(samples, block)
     return (8 * lags * n_runs
@@ -563,7 +563,7 @@ class TestMomentumAutocorr:
         # FFTs, so a cap of 3 transforms makes blocks of 3, 3, ..., 1 runs
         cfg = ChainConfig(half_width=200, c=1.0, beta=0.7, dt=0.05,
                           t_max=60.0, seed=3)
-        transform = _fft_length(2401)
+        transform = autocov_fft_length(1201, 1200)
         widths = []
         fft_autocov = statmech._fft_autocov
         monkeypatch.setattr(
@@ -604,14 +604,15 @@ class TestMomentumAutocorr:
         def sampled(*args):
             raise Sampled
 
+        transform = autocov_fft_length(1201, 1200)
         monkeypatch.setattr(lattice, "sample_invariant", sampled)
-        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", _fft_length(2401) - 1)
+        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", transform - 1)
         with pytest.raises(ValueError, match=r"a grid of 1201 samples "
                            r"\(t_max = 60.0, dt = 0.05\) with lags up to "
                            r"1200 \(M = 200, c = 1.0\) needs an FFT of 2592 "
                            r"samples per run; at most 2591 are allowed"):
             momentum_autocorr(cfg, 1)
-        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", _fft_length(2401))
+        monkeypatch.setattr(lattice, "MAX_BLOCK_FFT", transform)
         with pytest.raises(Sampled):
             momentum_autocorr(cfg, 1)
 

@@ -12,13 +12,13 @@ from wavebath.coupling import Observable, close_loops
 from wavebath.realization import FosterSpec, foster_realize, random_foster
 from wavebath.waveline import (
     MAX_LINE_ENTRIES,
-    BoundaryCoupler,
     BoundaryTrace,
     ContaminatedWindowError,
     DegenerateProbeError,
     LineConfig,
     ReflectionWindowError,
     WaveField,
+    _cayley,
     decay_rate_probe,
     energy_drift,
     gaussian_field,
@@ -41,7 +41,8 @@ def bump_field(x_max, dx, center=2.0, width=0.08):
     return init_waves(v0, v0, dx)
 
 
-def _reference_propagate(field, steps, boundary, xi0=None):
+def _reference_propagate(field, steps, config, pair, obs, convention="line",
+                         xi0=None):
     """Tape-shifting oracle for `propagate`.
 
     Shifts both tapes one cell per step and sums the whole-line energy
@@ -54,11 +55,10 @@ def _reference_propagate(field, steps, boundary, xi0=None):
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
-    load, obs = boundary.load, boundary.obs
-    S, g = boundary.step_matrix, boundary.input_matrix
+    load, h = config.load, config.dt
+    S, g = _cayley(pair.gamma, pair.input_gain, h)
     c0 = load.ss.c
-    h = boundary.dt
-    sign = 1.0 if boundary.convention == "line" else -1.0
+    sign = 1.0 if convention == "line" else -1.0
 
     n = load.dim
     xi = np.zeros(n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
@@ -89,11 +89,11 @@ def _reference_propagate(field, steps, boundary, xi0=None):
         b[1:] = b[:-1]
         b[0] = emitted
         a[:-1] = a[1:]
-        if boundary.far_end == "open":
+        if config.far_end == "open":
             a[-1] = 0.0
             radiated += dx * departing * departing
         else:
-            if boundary.reflection_free and departing != 0.0:
+            if config.reflection_free and departing != 0.0:
                 raise ReflectionWindowError(
                     f"reflection would re-enter at step {m + 1} "
                     f"(t = {(m + 1) * h:.6g})"
@@ -104,8 +104,7 @@ def _reference_propagate(field, steps, boundary, xi0=None):
     wbars[steps] = sign * (ws[steps] - c0 @ xi)
 
     out = WaveField(a, b, dx, radiated)
-    trace = BoundaryTrace(t, xis, ys, ws, wbars, energies,
-                          boundary.convention)
+    trace = BoundaryTrace(t, xis, ys, ws, wbars, energies)
     return out, trace
 
 
@@ -192,6 +191,15 @@ class TestWaveField:
         f = gaussian_field(rng, 4000, dx=0.01, sigma=1.0)
         assert np.var(f.a_prime + f.b_prime) == pytest.approx(100.0, rel=0.15)
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_gaussian_field_refuses_bad_sigma_by_name(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma .* got {sigma}"):
+            gaussian_field(np.random.default_rng(3), 10, dx=0.01, sigma=sigma)
+
+    def test_gaussian_field_zero_sigma_is_a_zero_field(self):
+        f = gaussian_field(np.random.default_rng(3), 10, dx=0.01, sigma=0.0)
+        assert not np.any(f.a_prime) and not np.any(f.b_prime)
+
 
 class TestStepResponse:
     """Capacitor load hit by a unit incoming step: xi(t) = 2(1 - e^{-t})."""
@@ -252,15 +260,32 @@ class TestTransportExactness:
         a0 = rng.standard_normal(n)
         b0 = rng.standard_normal(n)
         field = WaveField(a0, b0, 0.05)
-        boundary = BoundaryCoupler.from_config(
-            LineConfig(dx=0.05, x_max=15.0, t_max=1.0, load=TANK)
-        )
-        out, _ = propagate(field, 10, boundary)
+        config = LineConfig(dx=0.05, x_max=15.0, t_max=1.0, load=TANK)
+        out, _ = propagate(field, 10, config, close_loops(TANK),
+                           Observable.build(TANK, TANK.ss.c, 0.0))
         # incoming cells far from the boundary moved 10 slots toward it
         assert np.array_equal(out.a_prime[: n - 10], a0[10:])
         assert np.all(out.a_prime[n - 10 :] == 0.0)
         # outgoing cells moved 10 slots away; the first 10 are new
         assert np.array_equal(out.b_prime[10:], b0[: n - 10])
+
+    @pytest.mark.parametrize("cells, dx", [(200, 0.02), (199, 0.01)],
+                             ids=["other-dx", "other-cell-count"])
+    def test_field_on_another_grid_refused(self, cells, dx):
+        # stepped with the config's dt but summed with its own dx, the
+        # other-dx field's energy ledger would drift by 1.7e-3 per unit
+        # time, against 5e-17 on the config's grid
+        field = gaussian_field(np.random.default_rng(5), cells, dx)
+        cfg = LineConfig(dx=0.01, x_max=2.0, t_max=3.0, load=CAP)
+        with pytest.raises(ValueError) as info:
+            run_line(cfg, field)
+        assert str(info.value) == (f"field has {cells} cells at dx = {dx}, "
+                                   "config wants 200 cells at dx = 0.01")
+
+    def test_unknown_convention_refused(self):
+        cfg = LineConfig(dx=0.01, x_max=2.0, t_max=1.0, load=CAP)
+        with pytest.raises(ValueError, match="unknown convention 'rope'"):
+            run_line(cfg, bump_field(2.0, 0.01), convention="rope")
 
     def test_input_field_not_mutated(self):
         field = bump_field(4.0, 0.02)
@@ -308,10 +333,11 @@ class TestEnergyLedger:
 
 
 def _coupler(load, n_cells, far_end="open", reflection_free=True):
-    """Boundary step for a line of n_cells at dx = 0.01."""
-    return BoundaryCoupler.from_config(LineConfig(
-        dx=0.01, x_max=n_cells * 0.01, t_max=0.01, load=load,
-        far_end=far_end, reflection_free=reflection_free))
+    """(config, pair, obs) of a line of n_cells at dx = 0.01: the
+    arguments propagate takes after the field and step count."""
+    config = LineConfig(dx=0.01, x_max=n_cells * 0.01, t_max=0.01, load=load,
+                        far_end=far_end, reflection_free=reflection_free)
+    return config, close_loops(load), Observable.build(load, load.ss.c, 0.0)
 
 
 class TestDelayEngine:
@@ -319,9 +345,9 @@ class TestDelayEngine:
 
     @staticmethod
     def assert_matches_oracle(field, steps, boundary, xi0=None):
-        out, trace = propagate(field, steps, boundary, xi0=xi0)
-        ref_out, ref = _reference_propagate(field, steps, boundary, xi0=xi0)
-        if boundary.far_end == "open":
+        out, trace = propagate(field, steps, *boundary, xi0=xi0)
+        ref_out, ref = _reference_propagate(field, steps, *boundary, xi0=xi0)
+        if boundary[0].far_end == "open":
             assert np.array_equal(trace.xi, ref.xi)
             assert np.array_equal(trace.w, ref.w)
         assert np.array_equal(trace.t_grid, ref.t_grid)
@@ -388,9 +414,9 @@ class TestDelayEngine:
         field = WaveField(bump_field(2.0, 0.01, center=0.3).a_prime, b0, 0.01)
         boundary = _coupler(CAP, n, far_end="shorted")
         with pytest.raises(ReflectionWindowError) as ref:
-            _reference_propagate(field, 350, boundary)
+            _reference_propagate(field, 350, *boundary)
         with pytest.raises(ReflectionWindowError) as got:
-            propagate(field, 350, boundary)
+            propagate(field, 350, *boundary)
         assert str(got.value) == str(ref.value)
         assert f"step {91 if outgoing else 201} " in str(got.value)
 
